@@ -10,6 +10,12 @@ prefix, where a bound input is split over the scoped constants in scope plus
 one strictly fresh constant; they differ only in whether the defender commits
 to a continuation before or after the received name is chosen.
 
+Each game tables the successors of every (term, depth) it meets, so a term
+reaches ``lts`` once per game however often it attacks or defends; the table
+lives and dies with the game, and ``verify_witness`` replays in a fresh one.
+Memo keys rename eigenvariables only when they are not already numbered by
+first occurrence.
+
 On refutation the engine can replay the winning attacker strategy as a
 distinguishing formula, machine-checked against both processes before it is
 returned.
@@ -128,6 +134,10 @@ def canonical_key(goal: Goal):
     for a, b in sorted(goal.distinct.pairs, key=_pair_key):
         note(a, 0)
         note(b, 0)
+    if all(e.id == i + 1 for i, e in enumerate(order)):
+        # The renaming is the identity, and Distinction already stores each
+        # pair in _pair_key order, so the renamed goal is the goal itself.
+        return (goal.depth, goal.left, goal.right, goal.distinct.pairs)
     ren = {e.id: Eigen(i + 1, e.ceiling) for i, e in enumerate(order)}
 
     def sub(n, _d):
@@ -138,14 +148,6 @@ def canonical_key(goal: Goal):
         for a, b in goal.distinct.pairs
     )
     return (goal.depth, map_names(goal.left, sub), map_names(goal.right, sub), pairs)
-
-
-def _defenders(q: Process, action: Action, depth: int) -> list[Transition]:
-    if isinstance(action, (Tau, FreeOut)):
-        ts = successors_free(q, depth)
-    else:
-        ts = successors_bound(q, depth)
-    return [t for t in ts if t.theta.is_identity() and t.action == action]
 
 
 def _ground_inputs(depth: int) -> list[Nabla]:
@@ -165,11 +167,26 @@ class _Game:
         self.memo: dict = {}
         self.fmemo: dict = {}
         self.cert: list[Goal] = []
+        # (term, depth) -> (free successors, bound successors), for this game only
+        self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
 
     # ------------------------------------------------------------- the game
 
+    def _successors(self, p: Process, depth: int) -> tuple[list[Transition], list[Transition]]:
+        key = (p, depth)
+        hit = self.table.get(key)
+        if hit is None:
+            hit = self.table[key] = (successors_free(p, depth), successors_bound(p, depth))
+        return hit
+
     def attacks(self, p: Process, depth: int) -> list[Transition]:
-        return list(successors_free(p, depth)) + list(successors_bound(p, depth))
+        free, bound = self._successors(p, depth)
+        return free + bound
+
+    def _defenders(self, q: Process, action: Action, depth: int) -> list[Transition]:
+        free, bound = self._successors(q, depth)
+        ts = free if isinstance(action, (Tau, FreeOut)) else bound
+        return [t for t in ts if t.theta.is_identity() and t.action == action]
 
     def check(self, goal: Goal) -> bool:
         if self.max_depth is not None and goal.depth > self.max_depth:
@@ -225,7 +242,7 @@ class _Game:
     def _defended(self, goal: Goal, side: str, t: Transition) -> bool:
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, side, t)
-        dfs = _defenders(q, t.action, goal.depth)
+        dfs = self._defenders(q, t.action, goal.depth)
         act = t.action
         if isinstance(act, (Tau, FreeOut)):
             return any(
@@ -283,7 +300,7 @@ class _Game:
     def _fail_node(self, goal: Goal, side: str, idx: int, t: Transition) -> FailNode:
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, side, t)
-        dfs = _defenders(q, t.action, goal.depth)
+        dfs = self._defenders(q, t.action, goal.depth)
         act = t.action
         inst: Name | None = None
         replies: list[Reply] = []
@@ -349,7 +366,7 @@ class _Game:
             return False
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, node.side, t)
-        dfs = _defenders(q, t.action, goal.depth)
+        dfs = self._defenders(q, t.action, goal.depth)
         if len(node.replies) != len(dfs):
             return False
         if [r.defender_index for r in node.replies] != list(range(len(dfs))):
@@ -422,7 +439,7 @@ class _Game:
         """Attacker is the left process: guards + diamond + conjunction."""
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, "left", t)
-        dfs = _defenders(q, t.action, goal.depth)
+        dfs = self._defenders(q, t.action, goal.depth)
         act = t.action
         core: M.Formula | None = None
         if isinstance(act, (Tau, FreeOut)):
@@ -468,7 +485,7 @@ class _Game:
         mode the candidate is only kept if satisfaction checking confirms it."""
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, "right", t)
-        dfs = _defenders(q, t.action, goal.depth)
+        dfs = self._defenders(q, t.action, goal.depth)
         act = t.action
         core: M.Formula | None = None
         if isinstance(act, (Tau, FreeOut)):

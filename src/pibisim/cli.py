@@ -6,7 +6,9 @@ optional DOT export), ``bisim`` (open/late/early equivalence with witness or
 certificate), ``check`` (modal assertion checking).
 
 Exit codes: 0 affirmative verdict, 1 negative verdict, 2 usage or input
-error (one line starting with ``error:`` on stderr).
+error, including input nested too deeply to process (one line starting with
+``error:`` on stderr), 3 engine invariant failure (one line starting with
+``internal error:`` on stderr).
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ _INPUT_ERRORS = (
     M.FormulaOutsideLM,
     M.FreeInputModality,
     L.StateBudgetExceeded,
-    U.InternalError,
     OSError,
 )
 
@@ -102,6 +103,12 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as e:
         print(f"error: {_describe(e)}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nests too deeply (maximum recursion depth exceeded)", file=sys.stderr)
+        return 2
+    except U.InternalError as e:
+        print(f"internal error: {_describe(e)}", file=sys.stderr)
+        return 3
 
 
 def _describe(e: Exception) -> str:

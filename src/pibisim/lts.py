@@ -5,10 +5,16 @@ general eigenvariable substitution under which the step exists, and bound
 continuations are one-binder-deep terms.  Restriction opens its body at a
 fresh nabla level one above the current depth and re-abstracts it in the
 result, so transitions never leak new levels.
+
+The functions here keep no state: every call recomputes the successors of its
+term, computing each parallel operand's free and bound successors once per
+call.  A caller that asks for the same term repeatedly tables the results
+itself, as the bisimulation game does for the duration of one game.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .syntax import (
@@ -45,7 +51,7 @@ class StateBudgetExceeded(Exception):
         super().__init__(f"state budget of {max_states} exceeded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     theta: Subst
     action: Action
@@ -107,14 +113,16 @@ def _free(p: Process, depth: int) -> list[Transition]:
             out.extend(_free(left, depth))
             out.extend(_free(right, depth))
         case Par(left, right):
-            for t in _free(left, depth):
+            free_l, free_r = _free(left, depth), _free(right, depth)
+            bound_l, bound_r = _bound(left, depth), _bound(right, depth)
+            for t in free_l:
                 out.append(Transition(t.theta, t.action, Par(t.cont, t.theta(right))))
-            for t in _free(right, depth):
+            for t in free_r:
                 out.append(Transition(t.theta, t.action, Par(t.theta(left), t.cont)))
-            out.extend(_close(left, right, depth, swapped=False))
-            out.extend(_close(left, right, depth, swapped=True))
-            out.extend(_com(left, right, depth, swapped=False))
-            out.extend(_com(left, right, depth, swapped=True))
+            out.extend(_close(bound_l, right, bound_r, depth, swapped=False))
+            out.extend(_close(bound_r, left, bound_l, depth, swapped=True))
+            out.extend(_com(bound_l, right, free_r, depth, swapped=False))
+            out.extend(_com(bound_r, left, free_l, depth, swapped=True))
         case Nu(body):
             fresh = Nabla(depth + 1)
             for t in _free(open_abs(body, fresh), depth + 1):
@@ -174,15 +182,23 @@ def _bound(p: Process, depth: int) -> list[Transition]:
     return out
 
 
-def _close(left: Process, right: Process, depth: int, swapped: bool) -> list[Transition]:
-    """Pair a bound input of one side with a bound output of the other; the
-    result restricts the communicated name over both continuations."""
-    a, b = (right, left) if swapped else (left, right)
+def _close(
+    inputs: list[Transition],
+    other: Process,
+    other_bound: list[Transition],
+    depth: int,
+    swapped: bool,
+) -> list[Transition]:
+    """Pair a bound input of one side (``inputs``, that side's bound
+    successors) with a bound output of ``other``; the result restricts the
+    communicated name over both continuations.  ``other_bound`` is
+    ``_bound(other, depth)``, reused when the input needs no substitution."""
     out = []
-    for ti in _bound(a, depth):
+    for ti in inputs:
         if not isinstance(ti.action, BoundIn):
             continue
-        for to in _bound(ti.theta(b), depth):
+        outs = other_bound if ti.theta.is_identity() else _bound(ti.theta(other), depth)
+        for to in outs:
             if not isinstance(to.action, BoundOut):
                 continue
             rho = unify_names(to.theta.name(ti.action.ch), to.action.ch)
@@ -196,14 +212,21 @@ def _close(left: Process, right: Process, depth: int, swapped: bool) -> list[Tra
     return out
 
 
-def _com(left: Process, right: Process, depth: int, swapped: bool) -> list[Transition]:
-    """Pair a bound input of one side with a free output of the other."""
-    a, b = (right, left) if swapped else (left, right)
+def _com(
+    inputs: list[Transition],
+    other: Process,
+    other_free: list[Transition],
+    depth: int,
+    swapped: bool,
+) -> list[Transition]:
+    """Pair a bound input of one side with a free output of ``other``;
+    ``other_free`` is ``_free(other, depth)``, reused as in ``_close``."""
     out = []
-    for ti in _bound(a, depth):
+    for ti in inputs:
         if not isinstance(ti.action, BoundIn):
             continue
-        for tf in _free(ti.theta(b), depth):
+        frees = other_free if ti.theta.is_identity() else _free(ti.theta(other), depth)
+        for tf in frees:
             if not isinstance(tf.action, FreeOut):
                 continue
             rho = unify_names(tf.theta.name(ti.action.ch), tf.action.ch)
@@ -212,8 +235,8 @@ def _com(left: Process, right: Process, depth: int, swapped: bool) -> list[Trans
             theta = compose(rho, compose(tf.theta, ti.theta))
             obj = rho.name(tf.action.obj)
             applied = open_abs(rho(tf.theta(ti.cont)), obj)
-            other = rho(tf.cont)
-            pair = (other, applied) if swapped else (applied, other)
+            other_cont = rho(tf.cont)
+            pair = (other_cont, applied) if swapped else (applied, other_cont)
             out.append(Transition(theta, TAU, Par(*pair)))
     return out
 
@@ -260,7 +283,7 @@ def has_no_transition(p: Process, depth: int | None = None) -> bool:
 # ----------------------------------------------------------------------- LTS graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int
@@ -269,7 +292,7 @@ class Edge:
     instance: object  # Name instantiating a bound action's binder, or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     states: tuple[Process, ...]
     depths: tuple[int, ...]
@@ -285,9 +308,9 @@ def lts_graph(p: Process, max_states: int, depth: int | None = None) -> Graph:
     states: dict[Process, int] = {p: 0}
     depths: list[int] = [depth]
     edges: list[Edge] = []
-    queue = [p]
+    queue = deque([p])
     while queue:
-        src = queue.pop(0)
+        src = queue.popleft()
         si = states[src]
         d = depths[si]
 

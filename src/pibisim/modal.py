@@ -317,23 +317,6 @@ def _check_no_free_input(f: Formula) -> None:
             _check_no_free_input(f.body)
 
 
-def in_lm(f: Formula) -> bool:
-    """Membership in the sublogic accepted by open mode."""
-    match f:
-        case TrueF() | FalseF():
-            return True
-        case And(l, r) | Or(l, r):
-            return in_lm(l) and in_lm(r)
-        case MatchDia(_, _, b) | MatchBox(_, _, b):
-            return in_lm(b)
-        case FreeDia(act, b) | FreeBox(act, b):
-            return isinstance(act, (Tau, FreeOut)) and in_lm(b)
-        case OutDia(_, b) | OutBox(_, b) | InDiaL(_, b) | InBoxL(_, b):
-            return in_lm(b)
-        case _:
-            return False
-
-
 def _first_non_lm(f: Formula) -> str:
     match f:
         case TrueF() | FalseF():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 # --------------------------------------------------------------------------- names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound:
     """de Bruijn index pointing at an enclosing binder (0 = innermost)."""
 
@@ -26,7 +26,7 @@ class Bound:
         return f"Bound({self.index})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nabla:
     """Scoped fresh constant; levels start at 1 and grow inward."""
 
@@ -36,7 +36,7 @@ class Nabla:
         return f"Nabla({self.level})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigen:
     """Instantiable name variable; may only equal nabla levels <= ceiling."""
 
@@ -47,7 +47,7 @@ class Eigen:
         return f"Eigen({self.id},c{self.ceiling})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Free:
     """Named placeholder produced by the parser; resolved by encode()."""
 
@@ -62,54 +62,54 @@ Name = Bound | Nabla | Eigen | Free
 # ----------------------------------------------------------------------- processes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TauPref:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Out:
     ch: Name
     obj: Name
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class In:
     ch: Name
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     left: Name
     right: Name
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par:
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nu:
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bang:
     cont: "Process"
 
@@ -121,18 +121,18 @@ NIL = Nil()
 # -------------------------------------------------------------------------- actions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tau:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeOut:
     ch: Name
     obj: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeIn:
     # Representable for completeness of the action sort; the late transition
     # system never emits it and the modal checker rejects formulas over it.
@@ -140,12 +140,12 @@ class FreeIn:
     obj: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundOut:
     ch: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundIn:
     ch: Name
 
@@ -284,10 +284,6 @@ def prefix_count(p: Process) -> int:
     raise TypeError(f"not a process: {p!r}")
 
 
-def max_nabla_level(term) -> int:
-    return max((n.level for n in free_names(term) if isinstance(n, Nabla)), default=0)
-
-
 def max_eigen_id(term) -> int:
     return max((n.id for n in free_names(term) if isinstance(n, Eigen)), default=0)
 
@@ -324,7 +320,7 @@ KEYWORDS = {"tau", "nu"}
 IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix:
     """Ordered quantifier prefix over the free names, leftmost outermost.
 

@@ -139,6 +139,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_deep_prefix_chain_is_2(self, capsys):
+        code, out, err = run(capsys, "parse", "tau." * 3000 + "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_wide_sum_bisim_is_2(self, capsys):
+        p = " + ".join(["tau.0"] * 600)
+        code, out, err = run(capsys, "bisim", p, p)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_internal_error_is_3(self, capsys, monkeypatch):
+        import pibisim.bisim
+        from pibisim.unify import InternalError
+
+        def broken(*args, **kwargs):
+            raise InternalError("invariant violated")
+
+        monkeypatch.setattr(pibisim.bisim, "open_bisim", broken)
+        code, out, err = run(capsys, "bisim", "tau.0", "tau.0")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "internal error: invariant violated"
+
 
 class TestJson:
     def test_bisim_json_schema(self, capsys):
