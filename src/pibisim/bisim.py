@@ -10,11 +10,20 @@ prefix, where a bound input is split over the scoped constants in scope plus
 one strictly fresh constant; they differ only in whether the defender commits
 to a continuation before or after the received name is chosen.
 
+The game is played up to structural congruence.  Moves, witnesses and
+formulas are computed on the raw terms, but each goal is memoised under the
+normal forms of its two sides (``syntax.normal_form``, cached per game), and a
+goal whose two normal forms are equal holds at once: congruent processes are
+bisimilar in every mode and under every substitution.  So goals that differ
+only in the order of parallel components, ``0`` operands, repeated summands or
+unused restrictions share one memo entry, and the certificate of a positive
+verdict is a bisimulation up to congruence, which ``verify_certificate``
+checks in a fresh game.  Memo keys rename eigenvariables only when they are
+not already numbered by first occurrence.
+
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends; the table
 lives and dies with the game, and ``verify_witness`` replays in a fresh one.
-Memo keys rename eigenvariables only when they are not already numbered by
-first occurrence.
 
 On refutation the engine can replay the winning attacker strategy as a
 distinguishing formula, machine-checked against both processes before it is
@@ -42,7 +51,9 @@ from .syntax import (
     contains_bang,
     map_names,
     max_eigen_id,
+    normal_form,
     open_abs,
+    walk_names,
 )
 from .unify import (
     Distinction,
@@ -127,10 +138,9 @@ def canonical_key(goal: Goal):
         if isinstance(n, Eigen) and n.id not in seen:
             seen.add(n.id)
             order.append(n)
-        return n
 
-    map_names(goal.left, note)
-    map_names(goal.right, note)
+    walk_names(goal.left, note)
+    walk_names(goal.right, note)
     for a, b in sorted(goal.distinct.pairs, key=_pair_key):
         note(a, 0)
         note(b, 0)
@@ -169,6 +179,8 @@ class _Game:
         self.cert: list[Goal] = []
         # (term, depth) -> (free successors, bound successors), for this game only
         self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
+        # term -> its normal form modulo structural congruence, for this game only
+        self.nf: dict[Process, Process] = {}
 
     # ------------------------------------------------------------- the game
 
@@ -188,17 +200,35 @@ class _Game:
         ts = free if isinstance(action, (Tau, FreeOut)) else bound
         return [t for t in ts if t.theta.is_identity() and t.action == action]
 
+    def _normal_form(self, p: Process) -> Process:
+        hit = self.nf.get(p)
+        if hit is None:
+            hit = self.nf[p] = normal_form(p)
+        return hit
+
+    def _normalised(self, goal: Goal) -> Goal:
+        """The goal with both sides in normal form modulo congruence."""
+        return Goal(
+            goal.depth,
+            goal.next_eigen,
+            goal.distinct,
+            self._normal_form(goal.left),
+            self._normal_form(goal.right),
+        )
+
     def check(self, goal: Goal) -> bool:
         if self.max_depth is not None and goal.depth > self.max_depth:
             raise DepthBudgetExceeded(self.max_depth)
-        key = canonical_key(goal)
+        norm = self._normalised(goal)
+        key = canonical_key(norm)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         self.stats.goals += 1
-        result = self._side_holds(goal, "left") and self._side_holds(goal, "right")
+        congruent = norm.left == norm.right
+        result = congruent or (self._side_holds(goal, "left") and self._side_holds(goal, "right"))
         self.memo[key] = result
-        if result:
+        if result and not congruent:
             self.cert.append(goal)
         return result
 
@@ -558,10 +588,9 @@ class _Game:
             if isinstance(n, Eigen) and n.id not in seen:
                 seen.add(n.id)
                 names.append(n)
-            return n
 
-        map_names(goal.left, note)
-        map_names(goal.right, note)
+        walk_names(goal.left, note)
+        walk_names(goal.right, note)
         tried = 0
         for f in M.enumerate_lm(names, 3):
             tried += 1
@@ -604,6 +633,8 @@ class BisimResult:
     bisimilar: bool
     mode: str
     root: Goal
+    # root first, then every goal explored and won; goals whose two sides are
+    # congruent hold without a move and are left out
     certificate: tuple[Goal, ...] | None
     witness: FailNode | None
     stats: Stats
@@ -696,6 +727,34 @@ def verify_witness(result: BisimResult) -> bool:
         raise WitnessMalformed("only refutations carry a witness")
     game = _Game(result.mode, result.game.clause_style)
     return game.verify_node(result.root, result.witness)
+
+
+class _CertificateGame(_Game):
+    """A game whose goals hold exactly when their two normal forms are equal
+    or their memo key is that of a goal in the certificate, so that playing
+    one round from each certificate goal checks it through the same moves and
+    open/late/early quantifier shapes as the game that produced it."""
+
+    def __init__(self, result: BisimResult):
+        super().__init__(result.mode, result.game.clause_style)
+        self.members = {canonical_key(self._normalised(g)) for g in result.certificate}
+
+    def check(self, goal: Goal) -> bool:
+        norm = self._normalised(goal)
+        return norm.left == norm.right or canonical_key(norm) in self.members
+
+
+def verify_certificate(result: BisimResult) -> bool:
+    """Check a positive verdict's certificate as a bisimulation up to
+    structural congruence: the root is in it or congruent, and every attack
+    from either side of every certificate goal is answered, as the mode's
+    game requires, by child goals that are in it or congruent."""
+    if not result.bisimilar or result.certificate is None:
+        raise WitnessMalformed("only bisimilar results carry a certificate")
+    game = _CertificateGame(result)
+    return game.check(result.root) and all(
+        game._side_holds(g, "left") and game._side_holds(g, "right") for g in result.certificate
+    )
 
 
 def witness_mainline(node: FailNode) -> list[tuple[FailNode, Reply | None]]:

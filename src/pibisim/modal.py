@@ -245,7 +245,7 @@ def close_formula(f: Formula, name: Name) -> Formula:
 def apply_subst_formula(theta: Subst, f: Formula) -> Formula:
     if theta.is_identity():
         return f
-    return map_formula_names(f, lambda n, _d: theta.lookup(n))
+    return map_formula_names(f, lambda n, _d: theta.name(n))
 
 
 def formula_names(f: Formula) -> frozenset:
@@ -561,7 +561,7 @@ def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
 def _apply_action(theta: Subst, act: Action) -> Action:
     if theta.is_identity():
         return act
-    return _map_action(act, lambda n, _d: theta.lookup(n), 0)
+    return _map_action(act, lambda n, _d: theta.name(n), 0)
 
 
 # ------------------------------------------------------------------ surface syntax

@@ -193,6 +193,38 @@ def map_names(term, f, depth: int = 0):
             raise TypeError(f"not a process or action: {term!r}")
 
 
+def walk_names(term, f, depth: int = 0) -> None:
+    """Call ``f(name, depth)`` on every name occurrence of ``term`` (Process
+    or Action) in ``map_names`` order, building nothing."""
+    while True:
+        match term:
+            case TauPref(cont) | Bang(cont):
+                term = cont
+            case Out(a, b, cont) | Match(a, b, cont):
+                f(a, depth)
+                f(b, depth)
+                term = cont
+            case In(ch, body):
+                f(ch, depth)
+                term, depth = body, depth + 1
+            case Nu(body):
+                term, depth = body, depth + 1
+            case Sum(left, right) | Par(left, right):
+                walk_names(left, f, depth)
+                term = right
+            case FreeOut(a, b) | FreeIn(a, b):
+                f(a, depth)
+                f(b, depth)
+                return
+            case BoundOut(ch) | BoundIn(ch):
+                f(ch, depth)
+                return
+            case Nil() | Tau():
+                return
+            case _:
+                raise TypeError(f"not a process or action: {term!r}")
+
+
 def open_abs(body, name: Name):
     """Instantiate a one-binder-deep term: the dangling index becomes ``name``
     and deeper dangling indices shift down by one."""
@@ -232,18 +264,115 @@ def free_names(term) -> frozenset:
     def f(n, _d):
         if isinstance(n, (Nabla, Eigen)):
             acc.add(n)
-        return n
 
     if isinstance(term, (Bound, Nabla, Eigen, Free)):
         f(term, 0)
     else:
-        map_names(term, f)
+        walk_names(term, f)
     return frozenset(acc)
 
 
 def alpha_eq(p, q) -> bool:
     """With de Bruijn binders, alpha-equivalence is structural equality."""
     return p == q
+
+
+# ------------------------------------------------------------ structural congruence
+
+_SUM_TAG, _PAR_TAG = 5, 6
+
+
+def normal_form(p: Process) -> Process:
+    """The representative of ``p`` modulo structural congruence: ``|`` and
+    ``+`` flattened, ``0`` operands dropped, operands sorted by a fixed total
+    order on terms, identical summands collapsed, and ``(nu x)P`` replaced by
+    ``P`` when ``x`` does not occur in ``P``.  Operators are rebuilt
+    right-nested, as the parser builds them.  Congruent processes are
+    bisimilar in every mode, under every substitution."""
+    return _nf(p)[0]
+
+
+def _name_key(n: Name) -> tuple:
+    match n:
+        case Bound(i):
+            return (0, i)
+        case Nabla(level):
+            return (1, level)
+        case Eigen(i, ceiling):
+            return (2, i, ceiling)
+        case Free(ident):
+            return (3, ident)
+    raise TypeError(f"not a name: {n!r}")
+
+
+def _nf(p: Process) -> tuple[Process, tuple]:
+    """The normal form of ``p`` with its sort key: a tuple that starts with a
+    tag per constructor, so keys compare element by element without ever
+    comparing an int with a string, and equal keys mean equal terms."""
+    match p:
+        case Nil():
+            return NIL, (0,)
+        case TauPref(cont):
+            c, k = _nf(cont)
+            return TauPref(c), (1, k)
+        case Out(ch, obj, cont):
+            c, k = _nf(cont)
+            return Out(ch, obj, c), (2, _name_key(ch), _name_key(obj), k)
+        case In(ch, body):
+            b, k = _nf(body)
+            return In(ch, b), (3, _name_key(ch), k)
+        case Match(left, right, cont):
+            c, k = _nf(cont)
+            return Match(left, right, c), (4, _name_key(left), _name_key(right), k)
+        case Sum() | Par():
+            return _nf_operator(p)
+        case Nu(body):
+            b, k = _nf(body)
+            if _uses_binder(b):
+                return Nu(b), (7, k)
+            # index 0 does not occur in b, so opening it only shifts the
+            # deeper dangling indices down by one
+            return _nf(open_abs(b, Bound(0)))
+        case Bang(cont):
+            c, k = _nf(cont)
+            return Bang(c), (8, k)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def _nf_operator(p: Sum | Par) -> tuple[Process, tuple]:
+    cls = type(p)
+    tag = _SUM_TAG if cls is Sum else _PAR_TAG
+    terms: list[Process] = []
+    keys: list[tuple] = []
+
+    def gather(q: Process) -> None:
+        if type(q) is cls:
+            gather(q.left)
+            gather(q.right)
+            return
+        t, k = _nf(q)
+        if k[0] == tag:  # normalising exposed the same operator: splice it in
+            keys.extend(k[1:])
+            while type(t) is cls:
+                terms.append(t.left)
+                t = t.right
+            terms.append(t)
+        elif t is not NIL:
+            terms.append(t)
+            keys.append(k)
+
+    gather(p)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if cls is Sum:  # P + P ~ P: keep one of each run of equal summands
+        order = [i for j, i in enumerate(order) if j == 0 or keys[order[j - 1]] != keys[i]]
+    if not order:
+        return NIL, (0,)
+    if len(order) == 1:
+        return terms[order[0]], keys[order[0]]
+    out = terms[order[-1]]
+    for i in reversed(order[:-1]):
+        out = cls(terms[i], out)
+    return out, (tag, *(keys[i] for i in order))
 
 
 def contains_bang(p: Process) -> bool:
@@ -533,18 +662,15 @@ class _Parser:
                 binder = self.expect_ident("input name")
                 self.expect(")")
                 self.expect(".")
-                return In(ch, self.proc_body([binder] + env))
+                return In(ch, self.unary([binder] + env))
             if nxt == ".":
                 self.next()
                 # `x.P` abbreviation: input with a vacuous binder
-                return In(ch, self.proc_body(["\0vacuous"] + env))
+                return In(ch, self.unary(["\0vacuous"] + env))
             if nxt == "(":
                 return self.call(val, pos, env)
             raise ParseError(self.peek()[2], ("'!'", "'?'", "'.'", "'('"), nxt)
         raise ParseError(pos, ("a process",), val)
-
-    def proc_body(self, env: list) -> Process:
-        return self.unary(env)
 
     def call(self, ident: str, pos: int, env: list) -> Process:
         if ident not in self.defs:
@@ -612,9 +738,8 @@ def surface_free_idents(p: Process) -> frozenset:
     def f(n, _d):
         if isinstance(n, Free):
             acc.add(n.ident)
-        return n
 
-    map_names(p, f)
+    walk_names(p, f)
     return frozenset(acc)
 
 
@@ -733,9 +858,8 @@ def _uses_binder(body: Process) -> bool:
         nonlocal used
         if isinstance(n, Bound) and n.index == d:
             used = True
-        return n
 
-    map_names(body, f)
+    walk_names(body, f)
     return used
 
 

@@ -43,20 +43,17 @@ class Subst:
     def is_identity(self) -> bool:
         return not self.bindings
 
-    def lookup(self, n: Name) -> Name:
+    def name(self, n: Name) -> Name:
         if isinstance(n, Eigen) and n.id in self._index:
             return self._index[n.id]
         return n
-
-    def name(self, n: Name) -> Name:
-        return self.lookup(n)
 
     def __call__(self, term):
         """Apply to a Process or Action (capture-avoiding by construction:
         the range contains no Bound names)."""
         if self.is_identity():
             return term
-        return map_names(term, lambda n, _d: self.lookup(n))
+        return map_names(term, lambda n, _d: self.name(n))
 
     def domain_ids(self) -> frozenset:
         return frozenset(var.id for var, _ in self.bindings)
@@ -90,7 +87,7 @@ def compose(outer: Subst, inner: Subst) -> Subst:
         return inner
     merged: dict[int, tuple[Eigen, Name]] = {}
     for var, val in inner.bindings:
-        new_val = outer.lookup(val)
+        new_val = outer.name(val)
         if new_val != var:
             merged[var.id] = (var, new_val)
     for var, val in outer.bindings:

@@ -75,10 +75,17 @@ def steps_agree(p_tuple, names: tuple[str, ...]) -> bool:
     return free_agree(p_tuple, names) and bound_agree(p_tuple, names)
 
 
+def certified(res: pb.BisimResult) -> pb.BisimResult:
+    """``res``, after checking that a positive verdict's certificate is a
+    bisimulation up to structural congruence."""
+    assert not res.bisimilar or pb.verify_certificate(res), res.root
+    return res
+
+
 def engine_ground(p_tuple, q_tuple, names: tuple[str, ...], mode: str) -> bool:
     prefix = make_prefix(names)
     fn = pb.late_bisim if mode == "late" else pb.early_bisim
-    return fn(enc(p_tuple, prefix), enc(q_tuple, prefix), len(names)).bisimilar
+    return certified(fn(enc(p_tuple, prefix), enc(q_tuple, prefix), len(names))).bisimilar
 
 
 def engine_open(p_tuple, q_tuple, entries, clause_style="late"):
@@ -87,6 +94,6 @@ def engine_open(p_tuple, q_tuple, entries, clause_style="late"):
         prefix = pb.parse_prefix(", ".join(f"{q} {n}" for q, n in entries))
     else:
         prefix = pb.Prefix(())
-    return pb.open_bisim(
-        enc(p_tuple, prefix), enc(q_tuple, prefix), prefix, clause_style=clause_style
+    return certified(
+        pb.open_bisim(enc(p_tuple, prefix), enc(q_tuple, prefix), prefix, clause_style=clause_style)
     )

@@ -1,5 +1,7 @@
 """Open/late/early bisimilarity engine: verdicts, certificates, witnesses."""
 
+from dataclasses import replace
+
 import pytest
 
 import pibisim as pb
@@ -71,15 +73,17 @@ class TestOpenBisim:
             pb.open_bisim(p, q, prefix)
 
     def test_depth_budget(self):
-        # the budget caps fresh-name (nabla) depth: each extrusion adds one
+        # the budget caps fresh-name (nabla) depth: each extrusion adds one.
+        # The pairs are bisimilar but not congruent ([x=x]0 is not 0 up to
+        # structural congruence), so the game must play down to the last goal.
         p, q, prefix = pair(
-            "(nu a)x!a.(nu b)x!b.0", "(nu a)x!a.(nu b)x!b.0", "nabla x"
+            "(nu a)x!a.(nu b)x!b.0", "(nu a)x!a.(nu b)x!b.[x=x]0", "nabla x"
         )
         with pytest.raises(pb.DepthBudgetExceeded):
             pb.open_bisim(p, q, prefix, max_depth=1)
         assert pb.open_bisim(p, q, prefix, max_depth=3).bisimilar
         # ground modes split inputs on a fresh name, growing depth too
-        p2, q2, _ = pair("x?(u).x?(v).0", "x?(u).x?(v).0", "nabla x")
+        p2, q2, _ = pair("x?(u).x?(v).0", "x?(u).x?(v).[x=x]0", "nabla x")
         with pytest.raises(pb.DepthBudgetExceeded):
             pb.late_bisim(p2, q2, max_depth=1)
 
@@ -146,6 +150,50 @@ class TestGroundBisim:
         p, q, _ = pair(SANGIORGI_Q, SANGIORGI_Q, "nabla x, nabla z")
         assert pb.late_bisim(p, q).bisimilar
         assert pb.early_bisim(p, q).bisimilar
+
+
+class TestCertificate:
+    # [u=u] and [x=x] make each goal below the root bisimilar without being
+    # congruent, so all of them are in the certificate; in late and early
+    # mode the input is split over two received names
+    LEFT, RIGHT = "x?(u).[u=u]tau.[x=x]tau.0", "x?(u).tau.tau.0"
+
+    def results(self):
+        p, q, prefix = pair(self.LEFT, self.RIGHT, "nabla x")
+        return [pb.open_bisim(p, q, prefix), pb.late_bisim(p, q), pb.early_bisim(p, q)]
+
+    def test_accepts(self):
+        sizes = []
+        for res in self.results():
+            assert res.bisimilar and res.certificate[0] == res.root
+            assert pb.verify_certificate(res)
+            sizes.append(len(res.certificate))
+        assert sizes == [3, 5, 5]
+
+    def test_rejects_a_missing_goal(self):
+        for res in self.results():
+            cert = res.certificate
+            for i in range(1, len(cert)):
+                short = replace(res, certificate=cert[:i] + cert[i + 1 :])
+                assert not pb.verify_certificate(short), (res.mode, i)
+
+    def test_rejects_a_swapped_root(self):
+        for res in self.results():
+            bad = replace(res.root, left=enc("tau.0", pb.Prefix(())), right=pb.NIL)
+            swapped = (bad,) + res.certificate[1:]
+            assert not pb.verify_certificate(replace(res, root=bad, certificate=swapped))
+            assert not pb.verify_certificate(replace(res, root=bad))
+
+    def test_congruent_root_needs_no_other_goal(self):
+        p, q, prefix = pair("x!x.0 | tau.0", "tau.0 | (x!x.0 + 0)", "forall x")
+        res = pb.open_bisim(p, q, prefix)
+        assert (res.stats.goals, res.certificate) == (1, (res.root,))
+        assert pb.verify_certificate(res)
+
+    def test_refutation_raises(self):
+        p, q, _ = pair("tau.0", "0", "")
+        with pytest.raises(pb.WitnessMalformed):
+            pb.verify_certificate(pb.late_bisim(p, q))
 
 
 class TestDistinguishingFormula:

@@ -1,19 +1,35 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
-successors, the per-game successor table and the identity fast path of
-``canonical_key`` leave steps, counts and keys unchanged."""
+successors, the per-game successor table, the identity fast path of
+``canonical_key`` and playing the game up to structural congruence leave
+steps, verdicts, evidence and keys unchanged."""
 
+import random
 from collections import Counter
 
 import pytest
 
+import corpus
 import pibisim as pb
 import pibisim.bisim as bisim_mod
+from agree import enc as enc_tuple, make_prefix
 from pibisim.bisim import Goal, canonical_key, _pair_key
-from pibisim.syntax import Eigen, Nabla, map_names
+from pibisim.syntax import Eigen, Nabla, map_names, normal_form
 from pibisim.unify import Distinction, EMPTY_DISTINCTION
 
 COMM_PAIRS = "x0!y.0 | x0?(u).u!y.0 | x1!y.0 | x1?(u).u!y.0"
 COMM_PAIRS_SWAPPED = "x1!y.0 | x1?(u).u!y.0 | x0!y.0 | x0?(u).u!y.0"
+# One-step expansion of COMM_PAIRS: each component's prefix before the rest,
+# plus one tau per communicating pair.  Bisimilar but not congruent to it.
+COMM_PAIRS_EXPANSION = " + ".join(
+    [
+        "x0!y.(0 | x0?(u).u!y.0 | x1!y.0 | x1?(u).u!y.0)",
+        "x0?(u).(x0!y.0 | u!y.0 | x1!y.0 | x1?(u).u!y.0)",
+        "x1!y.(x0!y.0 | x0?(u).u!y.0 | 0 | x1?(u).u!y.0)",
+        "x1?(u).(x0!y.0 | x0?(u).u!y.0 | x1!y.0 | u!y.0)",
+        "tau.(0 | y!y.0 | x1!y.0 | x1?(u).u!y.0)",
+        "tau.(x0!y.0 | x0?(u).u!y.0 | 0 | y!y.0)",
+    ]
+)
 
 
 def enc(text, prefix):
@@ -23,22 +39,44 @@ def enc(text, prefix):
 # ------------------------------------------------------------ pinned counts
 
 
-@pytest.mark.parametrize(
-    "mode, prefix_text, expected",
-    [
-        ("open", "forall x0, forall x1, forall y", (True, 111, 567, 110)),
-        ("open", "nabla x0, nabla x1, nabla y", (True, 63, 323, 62)),
-        ("late", "nabla x0, nabla x1, nabla y", (True, 322, 1601, 321)),
-    ],
-)
-def test_communicating_pairs_counts(mode, prefix_text, expected):
+FORALL3 = "forall x0, forall x1, forall y"
+NABLA3 = "nabla x0, nabla x1, nabla y"
+
+
+def _counts(mode, prefix_text, partner):
     prefix = pb.parse_prefix(prefix_text)
-    p, q = enc(COMM_PAIRS, prefix), enc(COMM_PAIRS_SWAPPED, prefix)
+    p, q = enc(COMM_PAIRS, prefix), enc(partner, prefix)
     if mode == "open":
         res = pb.open_bisim(p, q, prefix)
     else:
         res = pb.late_bisim(p, q, prefix.nabla_count)
-    assert (res.bisimilar, res.stats.goals, res.stats.branches, len(res.certificate)) == expected
+    return res.bisimilar, res.stats.goals, res.stats.branches, len(res.certificate)
+
+
+@pytest.mark.parametrize(
+    "mode, prefix_text, expected",
+    [
+        ("open", FORALL3, (True, 1, 0, 1)),
+        ("open", NABLA3, (True, 1, 0, 1)),
+        ("late", NABLA3, (True, 1, 0, 1)),
+    ],
+)
+def test_communicating_pairs_counts(mode, prefix_text, expected):
+    # the swapped order is congruent: the root is discharged unexplored
+    assert _counts(mode, prefix_text, COMM_PAIRS_SWAPPED) == expected
+
+
+@pytest.mark.parametrize(
+    "mode, prefix_text, expected",
+    [
+        ("open", FORALL3, (True, 7, 15, 1)),
+        ("open", NABLA3, (True, 8, 13, 1)),
+        ("late", NABLA3, (True, 14, 13, 1)),
+    ],
+)
+def test_communicating_pairs_expansion_counts(mode, prefix_text, expected):
+    # every answer to an attack on the expansion is congruent to its attacker
+    assert _counts(mode, prefix_text, COMM_PAIRS_EXPANSION) == expected
 
 
 # ------------------------------------------- parallel operands computed once
@@ -96,8 +134,8 @@ def lts_requests(monkeypatch):
 
 
 def test_each_term_reaches_lts_once_per_game_bisimilar(lts_requests):
-    prefix = pb.parse_prefix("forall x0, forall x1, forall y")
-    res = pb.open_bisim(enc(COMM_PAIRS, prefix), enc(COMM_PAIRS_SWAPPED, prefix), prefix)
+    prefix = pb.parse_prefix(FORALL3)
+    res = pb.open_bisim(enc(COMM_PAIRS, prefix), enc(COMM_PAIRS_EXPANSION, prefix), prefix)
     assert res.bisimilar
     assert lts_requests, "the game never asked lts"
     assert max(lts_requests.values()) == 1
@@ -209,3 +247,127 @@ def test_canonical_key_ground_goal_is_the_goal():
     d = Distinction.of((Nabla(2), Nabla(1)))
     g = Goal(2, 1, d, enc("x!y.0", prefix), enc("tau.0", prefix))
     assert canonical_key(g) == renamed_key(g) == (2, g.left, g.right, d.pairs)
+
+
+# --------------------------------------------------- structural congruence
+
+CONGRUENCE_PREFIX = "forall a, nabla b, forall c"
+
+
+def _two_texts(rng):
+    """Surface texts of two seeded replication-free terms, parenthesised."""
+    return (f"({corpus.to_text(corpus.random_proc(rng, max_prefixes=5))})" for _ in range(2))
+
+
+def congruence_terms(seed, count):
+    """Seeded replication-free terms, each also wrapped in the shapes the
+    normal form rewrites: a 0 operand, reordered and repeated summands, and
+    an unused restriction."""
+    rng = random.Random(seed)
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    for _ in range(count):
+        p, q = _two_texts(rng)
+        for text in (p, f"({q} | 0) | {p}", f"{p} + ({q} + {p})", f"(nu z)({p} | {q})"):
+            yield enc(text, prefix)
+
+
+def test_normal_form_is_idempotent_and_keeps_names():
+    for p in congruence_terms(11, 120):
+        nf = normal_form(p)
+        assert normal_form(nf) == nf, pb.pretty(p)
+        assert pb.free_names(nf) == pb.free_names(p)
+        assert pb.infer_depth(nf) == pb.infer_depth(p)
+
+
+def test_normal_form_identifies_the_congruence_laws():
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    rng = random.Random(12)
+    for _ in range(120):
+        p, q = _two_texts(rng)
+        nf = normal_form(enc(f"{p} | {q}", prefix))
+        assert nf == normal_form(enc(f"{q} | (0 | {p})", prefix))
+        assert nf == normal_form(enc(f"(nu z)({q} | {p})", prefix))
+        assert normal_form(enc(f"{p} + {q}", prefix)) == normal_form(enc(f"{q} + {p} + {p}", prefix))
+
+
+def test_normal_form_keeps_summands_apart_by_their_bound_names():
+    prefix = pb.parse_prefix("nabla x, nabla a")
+    p = enc("x?(u).x?(v).(u!a.0 + v!a.0 + u!a.0)", prefix)
+    assert normal_form(p) == enc("x?(u).x?(v).(v!a.0 + u!a.0)", prefix)
+
+
+def test_terms_are_bisimilar_to_their_normal_form(monkeypatch):
+    """Decided by the game on raw terms, with the normal form switched off."""
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    terms = list(congruence_terms(15, 120))
+    normal = [normal_form(p) for p in terms]
+    monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
+    for p, nf in zip(terms, normal):
+        assert pb.open_bisim(p, nf, prefix).bisimilar, pb.pretty(p, prefix)
+
+
+def _matched(steps, others):
+    return all(
+        any(
+            u.theta == t.theta
+            and u.action == t.action
+            and normal_form(u.cont) == normal_form(t.cont)
+            for u in others
+        )
+        for t in steps
+    )
+
+
+def test_normal_form_steps_match_up_to_congruence():
+    """Every step of p is a step of its normal form with the same
+    substitution and action and a congruent continuation, and back."""
+    depth = pb.parse_prefix(CONGRUENCE_PREFIX).nabla_count
+    for p in congruence_terms(13, 120):
+        nf = normal_form(p)
+        for succ in (pb.successors_free, pb.successors_bound):
+            mine, theirs = succ(p, depth), succ(nf, depth)
+            assert _matched(mine, theirs) and _matched(theirs, mine), pb.pretty(p)
+
+
+def _evidence(res, prefix):
+    if res.bisimilar:
+        return True
+    formula, side = pb.distinguishing_formula(res)
+    return False, repr(res.witness), pb.pretty_formula(formula, prefix), side
+
+
+def _evidence_cases():
+    """Seeded pairs in open mode with and without a distinction, and in late
+    and early mode; in a third of them the right side is ``0 | (q + p)``,
+    which the normal form rewrites."""
+    rng = random.Random(14)
+    names = ("a", "b")
+    for i in range(120):
+        p, q = corpus.random_pair(rng, max_prefixes=3, names=names)
+        if i % 3 == 0:
+            q = ("par", ("nil",), ("sum", q, p))
+        entries = tuple((rng.choice(("forall", "nabla")), n) for n in names)
+        prefix = pb.parse_prefix(", ".join(f"{k} {n}" for k, n in entries))
+        a, b = (prefix.name_map()[n] for n in names)
+        for distinct in (EMPTY_DISTINCTION, Distinction.of((a, b))):
+            yield "open", prefix, p, q, distinct
+        ground = make_prefix(names)
+        yield "late", ground, p, q, EMPTY_DISTINCTION
+        yield "early", ground, p, q, EMPTY_DISTINCTION
+
+
+def _play(mode, prefix, p, q, distinct):
+    pe, qe = enc_tuple(p, prefix), enc_tuple(q, prefix)
+    if mode == "open":
+        res = pb.open_bisim(pe, qe, prefix, distinct=distinct)
+    else:
+        res = (pb.late_bisim if mode == "late" else pb.early_bisim)(pe, qe, prefix.nabla_count)
+    return _evidence(res, prefix)
+
+
+def test_evidence_is_the_same_without_the_normal_form(monkeypatch):
+    cases = list(_evidence_cases())
+    with_nf = [_play(*c) for c in cases]
+    monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
+    assert [_play(*c) for c in cases] == with_nf
+    assert True in with_nf and any(e is not True for e in with_nf)
