@@ -23,11 +23,13 @@ not already numbered by first occurrence.
 
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends; the table
-lives and dies with the game, and ``verify_witness`` replays in a fresh one.
+lives and dies with the game.
 
-On refutation the engine can replay the winning attacker strategy as a
-distinguishing formula, machine-checked against both processes before it is
-returned.
+On refutation the engine extracts the winning attacker strategy as a witness,
+which ``verify_witness`` replays structurally, move by move, in a fresh game
+that only enumerates moves and never decides a goal.  The strategy can also be
+turned into a distinguishing formula, machine-checked against both processes
+before it is returned; that check reads successors from the game's own table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import modal as M
-from .lts import infer_depth, successors_bound, successors_free, Transition
+from .lts import Transition, infer_depth, tabled_successors
 from .syntax import (
     Action,
     BoundIn,
@@ -85,7 +87,7 @@ class Stats:
     branches: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Goal:
     """One game position: the processes, the nabla depth, the next unused
     eigenvariable id, and the distinctions the attacker must respect."""
@@ -100,14 +102,14 @@ class Goal:
         return Goal(self.depth, self.next_eigen, self.distinct, self.right, self.left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reply:
     defender_index: int
     instantiation: Name | None  # per-defender received name (late ground input)
     child: "FailNode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailNode:
     """A winning attacker move: every defender reply leads to a refuted goal."""
 
@@ -184,19 +186,12 @@ class _Game:
 
     # ------------------------------------------------------------- the game
 
-    def _successors(self, p: Process, depth: int) -> tuple[list[Transition], list[Transition]]:
-        key = (p, depth)
-        hit = self.table.get(key)
-        if hit is None:
-            hit = self.table[key] = (successors_free(p, depth), successors_bound(p, depth))
-        return hit
-
     def attacks(self, p: Process, depth: int) -> list[Transition]:
-        free, bound = self._successors(p, depth)
+        free, bound = tabled_successors(p, depth, self.table)
         return free + bound
 
     def _defenders(self, q: Process, action: Action, depth: int) -> list[Transition]:
-        free, bound = self._successors(q, depth)
+        free, bound = tabled_successors(q, depth, self.table)
         ts = free if isinstance(action, (Tau, FreeOut)) else bound
         return [t for t in ts if t.theta.is_identity() and t.action == action]
 
@@ -381,6 +376,9 @@ class _Game:
     # ------------------------------------------------- strategy re-verification
 
     def verify_node(self, goal: Goal, node: FailNode) -> bool:
+        """Whether ``node`` is a winning attack from ``goal``: its move and
+        every defender reply are replayed down to the leaves, where the
+        defender has no answer.  No goal is decided on the way."""
         if node.goal != goal:
             return False
         p = goal.left if node.side == "left" else goal.right
@@ -392,20 +390,14 @@ class _Game:
             return False
         if not respects(t.theta, goal.distinct):
             return False
-        if self._defended(goal, node.side, t):
-            return False
         d2 = goal.distinct.apply(t.theta)
         q = self._instantiated_opponent(goal, node.side, t)
         dfs = self._defenders(q, t.action, goal.depth)
-        if len(node.replies) != len(dfs):
-            return False
         if [r.defender_index for r in node.replies] != list(range(len(dfs))):
             return False
         for reply, d in zip(node.replies, dfs):
             expected = self._expected_child(goal, node, t, d, reply, d2)
-            if expected is None or reply.child.goal != expected:
-                return False
-            if not self.verify_node(expected, reply.child):
+            if expected is None or not self.verify_node(expected, reply.child):
                 return False
         return True
 
@@ -570,12 +562,15 @@ class _Game:
         return subs
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
+        """Machine-check ``f`` on both sides, reading successors from this
+        game's table, which already holds most of the terms the check meets."""
+        d, ne, table = goal.depth, goal.next_eigen, self.table
         if self.mode == "open":
-            return M.sat_open_at(goal.left, f, goal.depth, goal.next_eigen) and not M.sat_open_at(
-                goal.right, f, goal.depth, goal.next_eigen
+            return M.sat_open_at(goal.left, f, d, ne, table) and not M.sat_open_at(
+                goal.right, f, d, ne, table
             )
-        return M.sat_ground(goal.left, f, depth=goal.depth) and not M.sat_ground(
-            goal.right, f, depth=goal.depth
+        return M.sat_ground(goal.left, f, depth=d, table=table) and not M.sat_ground(
+            goal.right, f, depth=d, table=table
         )
 
     _ENUM_CAP = 50_000
@@ -720,9 +715,13 @@ def distinguishing_formula(result: BisimResult) -> tuple[M.Formula, str]:
 
 
 def verify_witness(result: BisimResult) -> bool:
-    """Structurally replay a refutation witness: every recorded attack must
-    exist, respect the distinctions, defeat every defender reply, and match
-    the recorded continuations."""
+    """Structurally replay a refutation witness, without deciding any goal:
+    at every node the recorded attack must exist and respect the goal's
+    distinction, the replies must be exactly the defender's answers in order,
+    and each reply's child must be the goal that the mode's instantiation
+    rule gives and must itself replay.  The witness is finite and a node
+    without replies is an attack the defender cannot answer, so by induction
+    every recorded attack wins."""
     if result.bisimilar or result.witness is None:
         raise WitnessMalformed("only refutations carry a witness")
     game = _Game(result.mode, result.game.clause_style)

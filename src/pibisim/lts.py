@@ -8,8 +8,11 @@ result, so transitions never leak new levels.
 
 The functions here keep no state: every call recomputes the successors of its
 term, computing each parallel operand's free and bound successors once per
-call.  A caller that asks for the same term repeatedly tables the results
-itself, as the bisimulation game does for the duration of one game.
+call.  A caller that asks for the same term repeatedly keeps a table of the
+results and reads it through ``tabled_successors``: the bisimulation game
+keeps one for the duration of a game, a satisfaction check one for the
+duration of the check, and the check of a distinguishing formula reads the
+table of the game that built it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ class Transition:
     theta: Subst
     action: Action
     cont: Process  # free actions: closed at source depth; bound: one binder deep
-    new_nabla_count: int = 0
 
     @property
     def is_bound(self) -> bool:
@@ -70,6 +72,8 @@ def infer_depth(p: Process) -> int:
 
 
 def _dedup(transitions: list[Transition]) -> list[Transition]:
+    if len(transitions) < 2:
+        return transitions  # most lists: nothing to drop, so no term to hash
     seen = set()
     out = []
     for t in transitions:
@@ -90,6 +94,19 @@ def successors_bound(p: Process, depth: int | None = None) -> list[Transition]:
     if depth is None:
         depth = infer_depth(p)
     return _dedup(_bound(p, depth))
+
+
+def tabled_successors(
+    p: Process, depth: int, table: dict
+) -> tuple[list[Transition], list[Transition]]:
+    """The free and bound successors of ``p`` at ``depth``, read through
+    ``table``, which maps ``(term, depth)`` to that pair and is filled on a
+    miss."""
+    key = (p, depth)
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = (successors_free(p, depth), successors_bound(p, depth))
+    return hit
 
 
 def _compose_all(ts: list[Transition], rho: Subst) -> list[Transition]:

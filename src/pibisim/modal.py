@@ -38,7 +38,7 @@ from .syntax import (
     UnboundName,
     KEYWORDS,
 )
-from .lts import successors_bound, successors_free
+from .lts import tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
 
 
@@ -343,16 +343,19 @@ def sat_ground(
     a: Formula,
     extra_names: int | None = None,
     depth: int | None = None,
+    table: dict | None = None,
 ) -> bool:
     """Classical satisfaction under an all-nabla prefix.  ``extra_names``
     bounds how many fresh constants the name quantifiers may consume; it
-    defaults to the formula's fresh budget."""
+    defaults to the formula's fresh budget.  ``table`` is a successor table
+    for ``lts.tabled_successors``, such as a bisimulation game's; by default
+    the check starts its own, so it asks ``lts`` once per term."""
     _check_no_free_input(a)
     if depth is None:
         levels = [n.level for n in free_names(p) | formula_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
     budget = fresh_budget(a) if extra_names is None else extra_names
-    return _sat(p, a, depth, budget)
+    return _sat(p, a, depth, budget, {} if table is None else table)
 
 
 def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
@@ -362,53 +365,53 @@ def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
     return cands
 
 
-def _sat(p: Process, a: Formula, depth: int, budget: int) -> bool:
+def _sat(p: Process, a: Formula, depth: int, budget: int, table: dict) -> bool:
     match a:
         case TrueF():
             return True
         case FalseF():
             return False
         case And(l, r):
-            return _sat(p, l, depth, budget) and _sat(p, r, depth, budget)
+            return _sat(p, l, depth, budget, table) and _sat(p, r, depth, budget, table)
         case Or(l, r):
-            return _sat(p, l, depth, budget) or _sat(p, r, depth, budget)
+            return _sat(p, l, depth, budget, table) or _sat(p, r, depth, budget, table)
         case MatchDia(x, y, body):
-            return x == y and _sat(p, body, depth, budget)
+            return x == y and _sat(p, body, depth, budget, table)
         case MatchBox(x, y, body):
-            return x != y or _sat(p, body, depth, budget)
+            return x != y or _sat(p, body, depth, budget, table)
         case FreeDia(act, body):
             return any(
-                _sat(t.cont, body, depth, budget)
-                for t in successors_free(p, depth)
+                _sat(t.cont, body, depth, budget, table)
+                for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
         case FreeBox(act, body):
             return all(
-                _sat(t.cont, body, depth, budget)
-                for t in successors_free(p, depth)
+                _sat(t.cont, body, depth, budget, table)
+                for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
         case OutDia(ch, body):
             w = Nabla(depth + 1)
             return any(
-                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget)
-                for t in successors_bound(p, depth)
+                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
+                for t in tabled_successors(p, depth, table)[1]
                 if t.action == BoundOut(ch)
             )
         case OutBox(ch, body):
             w = Nabla(depth + 1)
             return all(
-                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget)
-                for t in successors_bound(p, depth)
+                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
+                for t in tabled_successors(p, depth, table)[1]
                 if t.action == BoundOut(ch)
             )
     # input modalities: quantifier nesting differs per flavour
-    ts = [t for t in successors_bound(p, depth) if t.action == BoundIn(a.ch)]
+    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == BoundIn(a.ch)]
     cands = _in_candidates(depth, budget)
 
     def hold(t, cand) -> bool:
         w, d2, b2 = cand
-        return _sat(open_abs(t.cont, w), open_formula(a.body, w), d2, b2)
+        return _sat(open_abs(t.cont, w), open_formula(a.body, w), d2, b2, table)
 
     match a:
         case InDia(_, _):
@@ -457,39 +460,49 @@ def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
     return sat_open_at(p, a, prefix.nabla_count, prefix.eigen_count + 1)
 
 
-def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
+def sat_open_at(
+    p: Process, a: Formula, depth: int, next_eigen: int, table: dict | None = None
+) -> bool:
+    """Open satisfaction at nabla depth ``depth`` with eigenvariables from
+    ``next_eigen`` on still unused; ``table`` is as in ``sat_ground``."""
+    if table is None:
+        table = {}
     match a:
         case TrueF():
             return True
         case FalseF():
             return False
         case And(l, r):
-            return sat_open_at(p, l, depth, next_eigen) and sat_open_at(p, r, depth, next_eigen)
+            return sat_open_at(p, l, depth, next_eigen, table) and sat_open_at(
+                p, r, depth, next_eigen, table
+            )
         case Or(l, r):
-            return sat_open_at(p, l, depth, next_eigen) or sat_open_at(p, r, depth, next_eigen)
+            return sat_open_at(p, l, depth, next_eigen, table) or sat_open_at(
+                p, r, depth, next_eigen, table
+            )
         case MatchDia(x, y, body):
             # proving an equality outright: the names must already coincide
-            return x == y and sat_open_at(p, body, depth, next_eigen)
+            return x == y and sat_open_at(p, body, depth, next_eigen, table)
         case MatchBox(x, y, body):
             rho = unify_names(x, y)
             if rho is None:
                 return True  # the hypothesis x=y can never hold
-            return sat_open_at(rho(p), apply_subst_formula(rho, body), depth, next_eigen)
+            return sat_open_at(rho(p), apply_subst_formula(rho, body), depth, next_eigen, table)
         case FreeDia(act, body):
             return any(
-                sat_open_at(t.cont, body, depth, next_eigen)
-                for t in successors_free(p, depth)
+                sat_open_at(t.cont, body, depth, next_eigen, table)
+                for t in tabled_successors(p, depth, table)[0]
                 if t.theta.is_identity() and t.action == act
             )
         case FreeBox(act, body):
-            for t in successors_free(p, depth):
+            for t in tabled_successors(p, depth, table)[0]:
                 act_i = _apply_action(t.theta, act)
                 rho = unify_actions(act_i, t.action)
                 if rho is None:
                     continue
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
-                    rho(t.cont), apply_subst_formula(sigma, body), depth, next_eigen
+                    rho(t.cont), apply_subst_formula(sigma, body), depth, next_eigen, table
                 ):
                     return False
             return True
@@ -497,14 +510,14 @@ def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
             w = Nabla(depth + 1)
             return any(
                 sat_open_at(
-                    open_abs(t.cont, w), open_formula(body, w), depth + 1, next_eigen
+                    open_abs(t.cont, w), open_formula(body, w), depth + 1, next_eigen, table
                 )
-                for t in successors_bound(p, depth)
+                for t in tabled_successors(p, depth, table)[1]
                 if t.theta.is_identity() and t.action == BoundOut(ch)
             )
         case OutBox(ch, body):
             w = Nabla(depth + 1)
-            for t in successors_bound(p, depth):
+            for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundOut):
                     continue
                 rho = unify_names(t.theta.name(ch), t.action.ch)
@@ -516,6 +529,7 @@ def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
                     open_formula(apply_subst_formula(sigma, body), w),
                     depth + 1,
                     next_eigen,
+                    table,
                 ):
                     return False
             return True
@@ -523,13 +537,13 @@ def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
             w = Eigen(next_eigen, depth)
             return any(
                 sat_open_at(
-                    open_abs(t.cont, w), open_formula(body, w), depth, next_eigen + 1
+                    open_abs(t.cont, w), open_formula(body, w), depth, next_eigen + 1, table
                 )
-                for t in successors_bound(p, depth)
+                for t in tabled_successors(p, depth, table)[1]
                 if t.theta.is_identity() and t.action == BoundIn(ch)
             )
         case InBoxL(ch, body):
-            for t in successors_bound(p, depth):
+            for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundIn):
                     continue
                 rho = unify_names(t.theta.name(ch), t.action.ch)
@@ -549,7 +563,7 @@ def sat_open_at(p: Process, a: Formula, depth: int, next_eigen: int) -> bool:
                 )
                 if not any(
                     sat_open_at(
-                        open_abs(cont, y), open_formula(body_i, y), depth, next_eigen
+                        open_abs(cont, y), open_formula(body_i, y), depth, next_eigen, table
                     )
                     for y in scope
                 ):

@@ -11,7 +11,8 @@ placeholders which ``encode`` resolves against a quantifier prefix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 # --------------------------------------------------------------------------- names
 
@@ -63,58 +64,90 @@ Name = Bound | Nabla | Eigen | Free
 
 
 @dataclass(frozen=True, slots=True)
+class _Term:
+    """Base of the compound process constructors: a slot for the node's
+    hash, filled on its first use (see ``_hash_once``)."""
+
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Nil:
     pass
 
 
 @dataclass(frozen=True, slots=True)
-class TauPref:
+class TauPref(_Term):
     cont: "Process"
 
 
 @dataclass(frozen=True, slots=True)
-class Out:
+class Out(_Term):
     ch: Name
     obj: Name
     cont: "Process"
 
 
 @dataclass(frozen=True, slots=True)
-class In:
+class In(_Term):
     ch: Name
     body: "Process"  # one binder deep
 
 
 @dataclass(frozen=True, slots=True)
-class Match:
+class Match(_Term):
     left: Name
     right: Name
     cont: "Process"
 
 
 @dataclass(frozen=True, slots=True)
-class Sum:
+class Sum(_Term):
     left: "Process"
     right: "Process"
 
 
 @dataclass(frozen=True, slots=True)
-class Par:
+class Par(_Term):
     left: "Process"
     right: "Process"
 
 
 @dataclass(frozen=True, slots=True)
-class Nu:
+class Nu(_Term):
     body: "Process"  # one binder deep
 
 
 @dataclass(frozen=True, slots=True)
-class Bang:
+class Bang(_Term):
     cont: "Process"
 
 
 Process = Nil | TauPref | Out | In | Match | Sum | Par | Nu | Bang
+
+
+def _hash_once(*fields: str):
+    """A ``__hash__`` that computes ``hash`` of the tuple of the node's
+    fields, which is the dataclass-generated hash, once per node and keeps it
+    in the node's slot.  Terms share unchanged subterms, so a subterm hashed
+    once stays hashed in every term that contains it, and set and dict orders
+    are those of the generated hash.  The tuple is built by ``attrgetter``,
+    so hashing a deep term takes one Python frame per level."""
+    get = attrgetter(*fields)
+    key = get if len(fields) > 1 else lambda node: (get(node),)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    return __hash__
+
+
+for _cls in (TauPref, Out, In, Match, Sum, Par, Nu, Bang):
+    _cls.__hash__ = _hash_once(*_cls.__match_args__)
 
 NIL = Nil()
 
@@ -159,36 +192,44 @@ TAU = Tau()
 
 def map_names(term, f, depth: int = 0):
     """Rebuild ``term`` (Process or Action) applying ``f(name, depth)`` to every
-    name occurrence, where ``depth`` counts binders crossed."""
+    name occurrence, where ``depth`` counts binders crossed.  A node none of
+    whose names and children change is returned itself, not a copy, so an
+    unchanged subterm keeps its identity and its cached hash."""
     match term:
         case Nil():
             return term
         case TauPref(cont):
-            return TauPref(map_names(cont, f, depth))
+            c = map_names(cont, f, depth)
+            return term if c is cont else TauPref(c)
         case Out(ch, obj, cont):
-            return Out(f(ch, depth), f(obj, depth), map_names(cont, f, depth))
+            a, b, c = f(ch, depth), f(obj, depth), map_names(cont, f, depth)
+            return term if a is ch and b is obj and c is cont else Out(a, b, c)
         case In(ch, body):
-            return In(f(ch, depth), map_names(body, f, depth + 1))
+            a, b = f(ch, depth), map_names(body, f, depth + 1)
+            return term if a is ch and b is body else In(a, b)
         case Match(left, right, cont):
-            return Match(f(left, depth), f(right, depth), map_names(cont, f, depth))
+            a, b, c = f(left, depth), f(right, depth), map_names(cont, f, depth)
+            return term if a is left and b is right and c is cont else Match(a, b, c)
         case Sum(left, right):
-            return Sum(map_names(left, f, depth), map_names(right, f, depth))
+            a, b = map_names(left, f, depth), map_names(right, f, depth)
+            return term if a is left and b is right else Sum(a, b)
         case Par(left, right):
-            return Par(map_names(left, f, depth), map_names(right, f, depth))
+            a, b = map_names(left, f, depth), map_names(right, f, depth)
+            return term if a is left and b is right else Par(a, b)
         case Nu(body):
-            return Nu(map_names(body, f, depth + 1))
+            b = map_names(body, f, depth + 1)
+            return term if b is body else Nu(b)
         case Bang(cont):
-            return Bang(map_names(cont, f, depth))
+            c = map_names(cont, f, depth)
+            return term if c is cont else Bang(c)
+        case FreeOut(ch, obj) | FreeIn(ch, obj):
+            a, b = f(ch, depth), f(obj, depth)
+            return term if a is ch and b is obj else type(term)(a, b)
+        case BoundOut(ch) | BoundIn(ch):
+            a = f(ch, depth)
+            return term if a is ch else type(term)(a)
         case Tau():
             return term
-        case FreeOut(ch, obj):
-            return FreeOut(f(ch, depth), f(obj, depth))
-        case FreeIn(ch, obj):
-            return FreeIn(f(ch, depth), f(obj, depth))
-        case BoundOut(ch):
-            return BoundOut(f(ch, depth))
-        case BoundIn(ch):
-            return BoundIn(f(ch, depth))
         case _:
             raise TypeError(f"not a process or action: {term!r}")
 
@@ -308,34 +349,37 @@ def _name_key(n: Name) -> tuple:
 def _nf(p: Process) -> tuple[Process, tuple]:
     """The normal form of ``p`` with its sort key: a tuple that starts with a
     tag per constructor, so keys compare element by element without ever
-    comparing an int with a string, and equal keys mean equal terms."""
+    comparing an int with a string, and equal keys mean equal terms.  A node
+    whose children are their own normal forms is its own normal form and is
+    returned itself."""
     match p:
         case Nil():
             return NIL, (0,)
         case TauPref(cont):
             c, k = _nf(cont)
-            return TauPref(c), (1, k)
+            return (p if c is cont else TauPref(c)), (1, k)
         case Out(ch, obj, cont):
             c, k = _nf(cont)
-            return Out(ch, obj, c), (2, _name_key(ch), _name_key(obj), k)
+            return (p if c is cont else Out(ch, obj, c)), (2, _name_key(ch), _name_key(obj), k)
         case In(ch, body):
             b, k = _nf(body)
-            return In(ch, b), (3, _name_key(ch), k)
+            return (p if b is body else In(ch, b)), (3, _name_key(ch), k)
         case Match(left, right, cont):
             c, k = _nf(cont)
-            return Match(left, right, c), (4, _name_key(left), _name_key(right), k)
+            key = (4, _name_key(left), _name_key(right), k)
+            return (p if c is cont else Match(left, right, c)), key
         case Sum() | Par():
             return _nf_operator(p)
         case Nu(body):
             b, k = _nf(body)
             if _uses_binder(b):
-                return Nu(b), (7, k)
+                return (p if b is body else Nu(b)), (7, k)
             # index 0 does not occur in b, so opening it only shifts the
             # deeper dangling indices down by one
             return _nf(open_abs(b, Bound(0)))
         case Bang(cont):
             c, k = _nf(cont)
-            return Bang(c), (8, k)
+            return (p if c is cont else Bang(c)), (8, k)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -369,10 +413,19 @@ def _nf_operator(p: Sum | Par) -> tuple[Process, tuple]:
         return NIL, (0,)
     if len(order) == 1:
         return terms[order[0]], keys[order[0]]
-    out = terms[order[-1]]
-    for i in reversed(order[:-1]):
-        out = cls(terms[i], out)
-    return out, (tag, *(keys[i] for i in order))
+    ops = [terms[i] for i in order]
+    key = (tag, *(keys[i] for i in order))
+    # p itself when it already is the right-nested chain of these operands
+    spine, q = [], p
+    while type(q) is cls:
+        spine.append(q.left)
+        q = q.right
+    if q is ops[-1] and len(spine) == len(ops) - 1 and all(map(is_, spine, ops)):
+        return p, key
+    out = ops[-1]
+    for t in reversed(ops[:-1]):
+        out = cls(t, out)
+    return out, key
 
 
 def contains_bang(p: Process) -> bool:

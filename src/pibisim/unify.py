@@ -55,9 +55,6 @@ class Subst:
             return term
         return map_names(term, lambda n, _d: self.name(n))
 
-    def domain_ids(self) -> frozenset:
-        return frozenset(var.id for var, _ in self.bindings)
-
 
 IDENTITY = Subst()
 
@@ -137,7 +134,7 @@ def _canon_pair(a: Name, b: Name) -> tuple[Name, Name]:
     return (a, b) if key(a) <= key(b) else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distinction:
     """Finite symmetric irreflexive set of name pairs that substitutions must
     keep apart; stored with a canonical order inside each pair."""
@@ -152,9 +149,6 @@ class Distinction:
                 raise ValueError(f"distinction pair must be irreflexive: {a!r}")
             canon.add(_canon_pair(a, b))
         return Distinction(frozenset(canon))
-
-    def union(self, other: "Distinction") -> "Distinction":
-        return Distinction(self.pairs | other.pairs)
 
     def apply(self, theta: Subst) -> "Distinction":
         return Distinction(

@@ -241,6 +241,202 @@ class TestDistinguishingFormula:
         self.verified(res)
 
 
+def _edit(node, path, **changes):
+    """``node`` with the witness node reached through the reply indices in
+    ``path`` rebuilt by ``dataclasses.replace(..., **changes)``."""
+    if not path:
+        return replace(node, **changes)
+    replies = list(node.replies)
+    reply = replies[path[0]]
+    replies[path[0]] = replace(reply, child=_edit(reply.child, path[1:], **changes))
+    return replace(node, replies=tuple(replies))
+
+
+def _edit_reply(node, path, i, **changes):
+    """``node`` with reply ``i`` of the node at ``path`` rebuilt."""
+    target = node
+    for j in path:
+        target = target.replies[j].child
+    replies = list(target.replies)
+    replies[i] = replace(replies[i], **changes)
+    return _edit(node, path, replies=tuple(replies))
+
+
+# Refuted pairs, each with a bound action at the root of its witness: an open
+# input (Sangiorgi's pair), an open bound output, a late input split per
+# reply and an early input with one shared received name; then each of the
+# four again with a binder its continuations never use, so that only the
+# instantiation rule, not the child goals, tells a wrong received or extruded
+# name apart.
+REFUTATIONS = {
+    "open-input": ("open", SANGIORGI_P, SANGIORGI_Q, "forall x, forall z"),
+    "open-output": (
+        "open", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", "nabla x"
+    ),
+    "late": (
+        "late", "x?(u).tau.0 + x?(v).0", "x?(u).tau.0 + x?(v).0 + x?(w).[w=a]tau.0", "nabla x, nabla a"
+    ),
+    "early": (
+        "early", "x?(u).(tau.0 + tau.tau.0)", "x?(u).tau.0 + x?(u).tau.tau.0", "nabla x, nabla a"
+    ),
+    "open-input-vacuous": ("open", "x?(u).tau.0", "x?(u).0", "forall x"),
+    "open-output-vacuous": ("open", "(nu a)x!a.tau.0", "(nu a)x!a.0", "nabla x"),
+    "late-vacuous": ("late", "x?(u).tau.0", "x?(u).0", "nabla x"),
+    "early-vacuous": ("early", "x?(u).tau.0", "x?(u).0", "nabla x"),
+}
+
+
+def _refutation(case):
+    mode, pt, qt, prefix_text = REFUTATIONS[case]
+    p, q, prefix = pair(pt, qt, prefix_text)
+    if mode == "open":
+        return pb.open_bisim(p, q, prefix)
+    return (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q)
+
+
+def _corruptions(case, res):
+    """Named corruptions of the witness of ``res = _refutation(case)``."""
+    w = res.witness
+    out = {
+        "index out of range": _edit(w, (), attacker_index=99),
+        "negative index": _edit(w, (), attacker_index=-1),
+        "action": _edit(w, (), action=pb.TAU),
+        "theta": _edit(w, (), theta=pb.Subst.of((pb.Eigen(1, 0), pb.Nabla(1)))),
+        "truncated to a leaf": _edit(w, (), replies=()),
+        "mirrored root goal": _edit(w, (), goal=w.goal.mirrored()),
+        "mirrored child goal": _edit(w, (0,), goal=w.replies[0].child.goal.mirrored()),
+        "root goal as child": _edit(w, (0,), goal=w.goal),
+    }
+    if case == "open-input":
+        # below the root input a right tau with two replies, the second of
+        # them a right tau under {z:=u}
+        inner = w.replies[0].child
+        out |= {
+            "input instantiation": _edit(w, (), instantiation=pb.Eigen(4, 0)),
+            "other tau attack": _edit(w, (0,), attacker_index=0),
+            "replies reversed": _edit(w, (0,), replies=inner.replies[::-1]),
+            "reply dropped": _edit(w, (0,), replies=inner.replies[:1]),
+            "children swapped": _edit_reply(
+                _edit_reply(w, (0,), 0, child=inner.replies[1].child),
+                (0,),
+                1,
+                child=inner.replies[0].child,
+            ),
+            "theta dropped below": _edit(w, (0, 1), theta=pb.Subst()),
+            "truncated below": _edit(w, (0,), replies=()),
+        }
+    elif case == "open-output":
+        out |= {
+            "output instantiation": _edit(w, (), instantiation=pb.Nabla(3)),
+            "truncated below": _edit(w, (0,), replies=()),
+        }
+    elif case == "late":
+        # the root is a right input at depth 2 with two defender replies
+        out |= {
+            "other input attack": _edit(w, (), attacker_index=0),
+            "replies reversed": _edit(w, (), replies=w.replies[::-1]),
+            "reply dropped": _edit(w, (), replies=w.replies[1:]),
+            "defenders relabelled": _edit_reply(
+                _edit_reply(w, (), 0, defender_index=1), (), 1, defender_index=0
+            ),
+            "received name above depth+1": _edit_reply(w, (), 0, instantiation=pb.Nabla(4)),
+            "received name missing": _edit_reply(w, (), 0, instantiation=None),
+            "received names exchanged": _edit_reply(
+                _edit_reply(w, (), 0, instantiation=w.replies[1].instantiation),
+                (),
+                1,
+                instantiation=w.replies[0].instantiation,
+            ),
+        }
+    elif case == "early":
+        # one received name shared by the root's two defender replies
+        out |= {
+            "replies reversed": _edit(w, (), replies=w.replies[::-1]),
+            "reply dropped": _edit(w, (), replies=w.replies[1:]),
+            "shared name changed": _edit(w, (), instantiation=pb.Nabla(2)),
+            "shared name missing": _edit(w, (), instantiation=None),
+            "children swapped": _edit_reply(
+                _edit_reply(w, (), 0, child=w.replies[1].child), (), 1, child=w.replies[0].child
+            ),
+            "truncated below": _edit(w, (1,), replies=()),
+        }
+    elif case == "open-input-vacuous":
+        out |= {
+            "input instantiation": _edit(w, (), instantiation=pb.Eigen(9, 0)),
+            "input ceiling": _edit(w, (), instantiation=pb.Eigen(w.goal.next_eigen, 1)),
+            "input instantiation a constant": _edit(w, (), instantiation=pb.Nabla(1)),
+        }
+    elif case == "open-output-vacuous":
+        out |= {
+            "output instantiation in scope": _edit(w, (), instantiation=pb.Nabla(1)),
+            "output instantiation above": _edit(w, (), instantiation=pb.Nabla(3)),
+            "output instantiation an eigenvariable": _edit(w, (), instantiation=pb.Eigen(1, 1)),
+        }
+    elif case == "late-vacuous":
+        # a received name above depth+1, with a child that the game itself
+        # explains at the depth that name would give it
+        child = res.game.explain(replace(w.replies[0].child.goal, depth=3))
+        out |= {
+            "received name level 0": _edit_reply(w, (), 0, instantiation=pb.Nabla(0)),
+            "received name an eigenvariable": _edit_reply(w, (), 0, instantiation=pb.Eigen(1, 1)),
+            "received name above depth+1": _edit_reply(
+                w, (), 0, instantiation=pb.Nabla(3), child=child
+            ),
+        }
+    else:  # early-vacuous
+        child = res.game.explain(replace(w.replies[0].child.goal, depth=3))
+        out |= {
+            "shared name level 0": _edit(w, (), instantiation=pb.Nabla(0)),
+            "shared name an eigenvariable": _edit(w, (), instantiation=pb.Eigen(1, 1)),
+            "shared name above depth+1": _edit_reply(
+                _edit(w, (), instantiation=pb.Nabla(3)), (), 0, child=child
+            ),
+        }
+    return out
+
+
+class TestVerifyWitness:
+    CASES = tuple(REFUTATIONS)
+
+    def test_rejects_an_attack_the_distinction_forbids(self):
+        # the only attack of [x=y]tau.0 identifies x and y; under x#y the
+        # pair is bisimilar, so the refutation's witness does not carry over
+        p, q, prefix = pair("[x=y]tau.0", "0", "forall x, forall y")
+        res = pb.open_bisim(p, q, prefix)
+        assert pb.verify_witness(res) and not res.witness.theta.is_identity()
+        nm = prefix.name_map()
+        root = replace(res.root, distinct=pb.Distinction.of((nm["x"], nm["y"])))
+        witness = replace(res.witness, goal=root)
+        assert not pb.verify_witness(replace(res, root=root, witness=witness))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_accepts_the_extracted_witness(self, case):
+        res = _refutation(case)
+        assert not res.bisimilar and res.witness.replies
+        assert pb.verify_witness(res)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejects_every_corruption(self, case):
+        res = _refutation(case)
+        corrupted = _corruptions(case, res)
+        accepted = [
+            name
+            for name, w in corrupted.items()
+            if w == res.witness or pb.verify_witness(replace(res, witness=w))
+        ]
+        assert accepted == []
+
+    def test_calls_no_decider(self, monkeypatch):
+        res = _refutation("open-input")
+
+        def no_decider(*_args):
+            raise AssertionError("the replay decided a goal")
+
+        monkeypatch.setattr(pb.bisim._Game, "check", no_decider)
+        monkeypatch.setattr(pb.bisim._Game, "_defended", no_decider)
+        assert pb.verify_witness(res)
+
+
 class TestResultShape:
     def test_stats_populated(self):
         p, q, prefix = pair(SANGIORGI_P, SANGIORGI_Q, "forall x, forall z")

@@ -1,7 +1,8 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
-successors, the per-game successor table, the identity fast path of
-``canonical_key`` and playing the game up to structural congruence leave
-steps, verdicts, evidence and keys unchanged."""
+successors, the per-game successor table and its use by the formula check,
+the identity fast path of ``canonical_key``, playing the game up to
+structural congruence, and cached hashes over shared subterms leave steps,
+verdicts, evidence, keys and hashes unchanged."""
 
 import random
 from collections import Counter
@@ -11,11 +12,24 @@ import pytest
 import corpus
 import pibisim as pb
 import pibisim.bisim as bisim_mod
+import pibisim.lts as lts_mod
+import pibisim.modal as modal_mod
 from agree import enc as enc_tuple, make_prefix
 from pibisim.bisim import Goal, canonical_key, _pair_key
-from pibisim.syntax import Eigen, Nabla, map_names, normal_form
+from pibisim.syntax import (
+    Eigen,
+    Nabla,
+    Process,
+    close_abs,
+    map_names,
+    normal_form,
+    open_abs,
+    walk_names,
+)
 from pibisim.unify import Distinction, EMPTY_DISTINCTION
 
+SANGIORGI_P = "x?(u).(tau.tau.0 + tau.0)"
+SANGIORGI_Q = "x?(u).(tau.tau.0 + tau.0 + tau.[u=z]tau.0)"
 COMM_PAIRS = "x0!y.0 | x0?(u).u!y.0 | x1!y.0 | x1?(u).u!y.0"
 COMM_PAIRS_SWAPPED = "x1!y.0 | x1?(u).u!y.0 | x0!y.0 | x0?(u).u!y.0"
 # One-step expansion of COMM_PAIRS: each component's prefix before the rest,
@@ -118,7 +132,9 @@ def test_par_communication_instantiates_the_partner(text, expected):
 
 @pytest.fixture
 def lts_requests(monkeypatch):
-    """Every (function, term, depth) the game asks ``lts`` for."""
+    """Every (function, term, depth) that the game and the satisfaction
+    checks ask ``lts`` for: both ask through ``lts.tabled_successors``, which
+    calls the two functions by their names in ``pibisim.lts``."""
     seen = Counter()
 
     def counting(name, fn):
@@ -129,7 +145,7 @@ def lts_requests(monkeypatch):
         return wrapper
 
     for name in ("successors_free", "successors_bound"):
-        monkeypatch.setattr(bisim_mod, name, counting(name, getattr(bisim_mod, name)))
+        monkeypatch.setattr(lts_mod, name, counting(name, getattr(lts_mod, name)))
     return seen
 
 
@@ -153,6 +169,48 @@ def test_each_term_reaches_lts_once_per_game_refuted(lts_requests):
     before = sum(lts_requests.values())
     assert pb.verify_witness(res)  # replays in a fresh game, with its own table
     assert sum(lts_requests.values()) > before
+
+
+# Refutations whose distinguishing formula is checked against both sides, by
+# sat_open_at in open mode and by sat_ground in late and early mode.  In the
+# last two open cases the formula has a [x=y] guard: the check instantiates
+# the process by the guard's unifier, a term the game only met through an
+# attack's substitution, so the check asks lts for it, once.
+FORMULA_CASES = [
+    ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", True),
+    ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", True),
+    ("late", "nabla x, nabla a", "x?(u).tau.0 + x?(v).0 + x?(w).[w=a]tau.0", "x?(u).tau.0 + x?(v).0",
+     True),
+    ("early", "nabla x, nabla a", "x?(u).(tau.0 + tau.tau.0)", "x?(u).tau.0 + x?(u).tau.tau.0", True),
+    ("open", "forall x, forall z", SANGIORGI_P, SANGIORGI_Q, False),
+    ("open", "forall x, forall y", "x?(u).0 | y!x.0", "x?(u).y!x.0 + y!x.x?(u).0", False),
+]
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right, in_table", FORMULA_CASES)
+def test_formula_check_reads_the_game_table(
+    lts_requests, monkeypatch, mode, prefix_text, left, right, in_table
+):
+    prefix = pb.parse_prefix(prefix_text)
+    p, q = enc(left, prefix), enc(right, prefix)
+    if mode == "open":
+        res = pb.open_bisim(p, q, prefix)
+    else:
+        res = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q)
+    assert not res.bisimilar
+    before = Counter(lts_requests)
+    checks = Counter()
+    for name in ("sat_ground", "sat_open_at"):
+
+        def counted(*args, _real=getattr(modal_mod, name), _name=name, **kwargs):
+            checks[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(modal_mod, name, counted)
+    pb.distinguishing_formula(res)
+    assert checks["sat_open_at" if mode == "open" else "sat_ground"] >= 2
+    assert max(lts_requests.values()) == 1
+    assert (lts_requests == before) == in_table
 
 
 # ---------------------------------------------------------- canonical keys
@@ -371,3 +429,77 @@ def test_evidence_is_the_same_without_the_normal_form(monkeypatch):
     monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
     assert [_play(*c) for c in cases] == with_nf
     assert True in with_nf and any(e is not True for e in with_nf)
+
+
+# ------------------------------------------------------- the term layer
+
+
+def layer_terms(seed, count):
+    """Seeded terms over eigenvariables and a scoped constant, with
+    replication, so that every constructor occurs."""
+    rng = random.Random(seed)
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    for _ in range(count):
+        yield enc(corpus.to_text(corpus.random_proc(rng, max_prefixes=6, allow_bang=True)), prefix)
+
+
+def fields(node):
+    return tuple(getattr(node, f) for f in node.__match_args__)
+
+
+def subterms(p):
+    """Every node of ``p`` with the number of binders above it."""
+    todo = [(p, 0)]
+    while todo:
+        q, depth = todo.pop()
+        yield q, depth
+        inner = depth + isinstance(q, (pb.In, pb.Nu))
+        todo.extend((f, inner) for f in fields(q) if isinstance(f, Process))
+
+
+def dangling(q):
+    """The indices of ``q`` that point above ``q`` itself."""
+    out = set()
+
+    def note(n, d):
+        if isinstance(n, pb.Bound) and n.index >= d:
+            out.add(n.index - d)
+
+    walk_names(q, note)
+    return out
+
+
+def test_term_hash_is_the_hash_of_its_fields():
+    for p in layer_terms(21, 150):
+        for q, _ in subterms(p):
+            h = hash(fields(q))
+            assert hash(q) == h, pb.pretty(p)
+            assert hash(type(q)(*fields(q))) == h  # a fresh, unhashed copy
+            assert hash(q) == h  # and again, from the cache
+
+
+def test_unchanged_terms_are_returned_themselves():
+    a, b, c = (pb.parse_prefix(CONGRUENCE_PREFIX).name_map()[n] for n in "abc")
+    absent = pb.Subst.of((Eigen(7, 1), b))
+    for p in layer_terms(22, 150):
+        assert map_names(p, lambda n, _d: n) is p
+        assert absent(p) is p
+        nf = normal_form(p)
+        assert normal_form(nf) is nf, pb.pretty(p)
+        for q, _ in subterms(p):
+            if not dangling(q):
+                assert open_abs(q, Nabla(5)) is q
+                assert close_abs(q, Eigen(7, 1)) is q
+            if isinstance(q, (pb.In, pb.Nu)) and not dangling(q.body):
+                assert open_abs(q.body, a) is q.body
+        if c not in pb.free_names(p):
+            assert close_abs(p, c) is p
+
+
+def test_rebuilt_terms_share_their_unchanged_operands():
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    names = prefix.name_map()
+    p = enc("a!b.tau.0 | (c!b.0 + tau.b!b.0)", prefix)
+    q = pb.Subst.of((names["c"], names["b"]))(p)
+    assert q == enc("a!b.tau.0 | (b!b.0 + tau.b!b.0)", prefix)
+    assert q.left is p.left and q.right.right is p.right.right
