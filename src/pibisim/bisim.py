@@ -25,16 +25,19 @@ Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends; the table
 lives and dies with the game.
 
-On refutation the engine extracts the winning attacker strategy as a witness,
-which ``verify_witness`` replays structurally, move by move, in a fresh game
-that only enumerates moves and never decides a goal.  The strategy can also be
-turned into a distinguishing formula, machine-checked against both processes
-before it is returned; that check reads successors from the game's own table.
+On refutation the engine extracts the winning attacker strategy as a witness:
+a DAG with one node object per refuted goal, shared wherever a goal repeats.
+``verify_witness`` replays it structurally, move by move, in a fresh game that
+only enumerates moves and never decides a goal, and replays each node once.
+The distinguishing formula is folded from the same nodes, one modality per
+node, and machine-checked against both processes before it is returned; that
+check reads successors from the game's own table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import modal as M
 from .lts import Transition, infer_depth, tabled_successors
@@ -178,6 +181,8 @@ class _Game:
         self.stats = Stats()
         self.memo: dict = {}
         self.fmemo: dict = {}
+        self.wmemo: dict[Goal, FailNode] = {}  # explain: one witness node per goal
+        self.replayed: dict[int, FailNode] = {}  # verify_node: nodes accepted, by identity
         self.cert: list[Goal] = []
         # (term, depth) -> (free successors, bound successors), for this game only
         self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
@@ -311,16 +316,27 @@ class _Game:
 
     # ------------------------------------------------------ witness extraction
 
+    def _winning_attacks(self, goal: Goal, side: str = "left", start: int = 0):
+        """The attacks from ``goal`` that the defender cannot answer, left side
+        first, beginning at attack ``start`` of ``side``."""
+        for s in ("left", "right") if side == "left" else ("right",):
+            ats = self.attacks(goal.left if s == "left" else goal.right, goal.depth)
+            for idx in range(start if s == side else 0, len(ats)):
+                t = ats[idx]
+                if respects(t.theta, goal.distinct) and not self._defended(goal, s, t):
+                    yield s, idx, t
+
     def explain(self, goal: Goal) -> FailNode:
-        for side in ("left", "right"):
-            p = goal.left if side == "left" else goal.right
-            for idx, t in enumerate(self.attacks(p, goal.depth)):
-                if not respects(t.theta, goal.distinct):
-                    continue
-                if self._defended(goal, side, t):
-                    continue
-                return self._fail_node(goal, side, idx, t)
-        raise InternalError("refuted goal has no winning attack")
+        """The first winning attack from a refuted goal, one node object per
+        goal, so a witness shares the node of every goal that repeats."""
+        node = self.wmemo.get(goal)
+        if node is None:
+            for side, idx, t in self._winning_attacks(goal):
+                node = self.wmemo[goal] = self._fail_node(goal, side, idx, t)
+                break
+            else:
+                raise InternalError("refuted goal has no winning attack")
+        return node
 
     def _fail_node(self, goal: Goal, side: str, idx: int, t: Transition) -> FailNode:
         d2 = goal.distinct.apply(t.theta)
@@ -378,9 +394,12 @@ class _Game:
     def verify_node(self, goal: Goal, node: FailNode) -> bool:
         """Whether ``node`` is a winning attack from ``goal``: its move and
         every defender reply are replayed down to the leaves, where the
-        defender has no answer.  No goal is decided on the way."""
+        defender has no answer.  No goal is decided on the way, and a node
+        already accepted at its own goal is not replayed again."""
         if node.goal != goal:
             return False
+        if id(node) in self.replayed:
+            return True
         p = goal.left if node.side == "left" else goal.right
         ats = self.attacks(p, goal.depth)
         if not (0 <= node.attacker_index < len(ats)):
@@ -399,6 +418,7 @@ class _Game:
             expected = self._expected_child(goal, node, t, d, reply, d2)
             if expected is None or not self.verify_node(expected, reply.child):
                 return False
+        self.replayed[id(node)] = node
         return True
 
     def _expected_child(self, goal, node, t, d, reply, d2) -> Goal | None:
@@ -439,127 +459,50 @@ class _Game:
         return res
 
     def _build_left(self, goal: Goal) -> M.Formula | None:
-        for side in ("left", "right"):
-            p = goal.left if side == "left" else goal.right
-            for t in self.attacks(p, goal.depth):
-                if not respects(t.theta, goal.distinct):
-                    continue
-                if self._defended(goal, side, t):
-                    continue
-                f = (
-                    self._compose_dia(goal, t)
-                    if side == "left"
-                    else self._compose_box(goal, t)
-                )
-                if f is not None:
-                    return f
+        """Fold a formula from the goal's witness node.  Only in open mode can
+        that fail; then each later winning attack is tried, then the search."""
+        node = self.explain(goal)
+        later = self._winning_attacks(goal, node.side, node.attacker_index + 1)
+        for n in chain((node,), (self._fail_node(goal, *a) for a in later)):
+            f = self._compose(n)
+            if f is not None:
+                return f
         if self.mode == "open":
             return self._enumerate_separator(goal)
         raise InternalError("formula composition failed in a ground mode")
 
-    def _compose_dia(self, goal: Goal, t: Transition) -> M.Formula | None:
-        """Attacker is the left process: guards + diamond + conjunction."""
-        d2 = goal.distinct.apply(t.theta)
-        q = self._instantiated_opponent(goal, "left", t)
-        dfs = self._defenders(q, t.action, goal.depth)
-        act = t.action
-        core: M.Formula | None = None
-        if isinstance(act, (Tau, FreeOut)):
-            subs = self._all_children(goal, "left", t, dfs, None, goal.depth, goal.next_eigen, d2)
-            if subs is None:
-                return None
-            core = M.FreeDia(act, _conj(subs))
-        elif isinstance(act, BoundOut):
-            w = Nabla(goal.depth + 1)
-            subs = self._all_children(goal, "left", t, dfs, w, goal.depth + 1, goal.next_eigen, d2)
-            if subs is None:
-                return None
-            core = M.OutDia(act.ch, M.close_formula(_conj(subs), w))
-        elif self.mode == "open":
-            w = Eigen(goal.next_eigen, goal.depth)
-            subs = self._all_children(goal, "left", t, dfs, w, goal.depth, goal.next_eigen + 1, d2)
-            if subs is None:
-                return None
-            core = M.InDiaL(act.ch, M.close_formula(_conj(subs), w))
-        elif self.mode == "late":
-            marker = Free("\0recv")
-            parts = []
-            for d in dfs:
-                w, child = self._late_failing_input(goal, "left", t, d, d2)
-                h = self.build_left(child)
-                if h is None:
-                    return None
-                parts.append(M.MatchBox(marker, w, h))
-            core = M.InDiaL(act.ch, M.close_formula(_conj(parts), marker))
-        else:  # early
-            w = self._early_failing_input(goal, "left", t, dfs, d2)
-            subs = self._all_children(
-                goal, "left", t, dfs, w, max(goal.depth, w.level), goal.next_eigen, d2
-            )
-            if subs is None:
-                return None
-            marker = Free("\0recv")
-            core = M.InDiaE(act.ch, M.close_formula(M.MatchBox(marker, w, _conj(subs)), marker))
-        return _guard(t.theta, core)
-
-    def _compose_box(self, goal: Goal, t: Transition) -> M.Formula | None:
-        """Attacker is the right process: guards + box + disjunction.  In open
-        mode the candidate is only kept if satisfaction checking confirms it."""
-        d2 = goal.distinct.apply(t.theta)
-        q = self._instantiated_opponent(goal, "right", t)
-        dfs = self._defenders(q, t.action, goal.depth)
-        act = t.action
-        core: M.Formula | None = None
-        if isinstance(act, (Tau, FreeOut)):
-            subs = self._all_children(goal, "right", t, dfs, None, goal.depth, goal.next_eigen, d2)
-            if subs is None:
-                return None
-            core = M.FreeBox(act, _disj(subs))
-        elif isinstance(act, BoundOut):
-            w = Nabla(goal.depth + 1)
-            subs = self._all_children(goal, "right", t, dfs, w, goal.depth + 1, goal.next_eigen, d2)
-            if subs is None:
-                return None
-            core = M.OutBox(act.ch, M.close_formula(_disj(subs), w))
-        elif self.mode == "open":
-            w = Eigen(goal.next_eigen, goal.depth)
-            subs = self._all_children(goal, "right", t, dfs, w, goal.depth, goal.next_eigen + 1, d2)
-            if subs is None:
-                return None
-            core = M.InBoxL(act.ch, M.close_formula(_disj(subs), w))
-        elif self.mode == "late":
-            marker = Free("\0recv")
-            parts = []
-            for d in dfs:
-                w, child = self._late_failing_input(goal, "right", t, d, d2)
-                h = self.build_left(child)
-                if h is None:
-                    return None
-                parts.append(M.MatchDia(marker, w, h))
-            core = M.InBoxL(act.ch, M.close_formula(_disj(parts), marker))
-        else:  # early
-            w = self._early_failing_input(goal, "right", t, dfs, d2)
-            subs = self._all_children(
-                goal, "right", t, dfs, w, max(goal.depth, w.level), goal.next_eigen, d2
-            )
-            if subs is None:
-                return None
-            marker = Free("\0recv")
-            core = M.InBoxE(act.ch, M.close_formula(M.MatchDia(marker, w, _disj(subs)), marker))
-        f = _guard(t.theta, core)
-        if self.mode == "open" and not self._holds_left_only(goal, f):
-            return None
-        return f
-
-    def _all_children(self, goal, side, t, dfs, w, depth, ne, d2) -> list[M.Formula] | None:
+    def _compose(self, node: FailNode) -> M.Formula | None:
+        """The formula of a winning attack, read off its witness node: guards,
+        then a diamond over the conjunction of the replies' formulas when the
+        left process attacks, a box over their disjunction when the right one
+        does.  In open mode a box is only kept if satisfaction checking
+        confirms it."""
+        left, act, w = node.side == "left", node.action, node.instantiation
+        late = self.mode == "late" and isinstance(act, BoundIn)
+        recv_guard = M.MatchBox if left else M.MatchDia
         subs = []
-        for d in dfs:
-            child = self._child(goal, side, t, d, w, depth, ne, d2)
-            h = self.build_left(child)
+        for r in node.replies:
+            h = self.build_left(r.child.goal)
             if h is None:
                 return None
-            subs.append(h)
-        return subs
+            subs.append(recv_guard(_RECV, r.instantiation, h) if late else h)
+        body = _conj(subs) if left else _disj(subs)
+        if isinstance(act, (Tau, FreeOut)):
+            core = (M.FreeDia if left else M.FreeBox)(act, body)
+        elif isinstance(act, BoundOut):
+            core = (M.OutDia if left else M.OutBox)(act.ch, M.close_formula(body, w))
+        elif self.mode == "open":
+            core = (M.InDiaL if left else M.InBoxL)(act.ch, M.close_formula(body, w))
+        elif late:
+            core = (M.InDiaL if left else M.InBoxL)(act.ch, M.close_formula(body, _RECV))
+        else:  # early
+            core = (M.InDiaE if left else M.InBoxE)(
+                act.ch, M.close_formula(recv_guard(_RECV, w, body), _RECV)
+            )
+        f = _guard(node.theta, core)
+        if self.mode == "open" and not left and not self._holds_left_only(node.goal, f):
+            return None
+        return f
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
         """Machine-check ``f`` on both sides, reading successors from this
@@ -594,6 +537,9 @@ class _Game:
             if self._holds_left_only(goal, f):
                 return f
         return None
+
+
+_RECV = Free("\0recv")  # stands for the received name until the formula closes over it
 
 
 def _conj(fs: list[M.Formula]) -> M.Formula:
@@ -721,7 +667,10 @@ def verify_witness(result: BisimResult) -> bool:
     and each reply's child must be the goal that the mode's instantiation
     rule gives and must itself replay.  The witness is finite and a node
     without replies is an attack the defender cannot answer, so by induction
-    every recorded attack wins."""
+    every recorded attack wins.  The witness is a DAG that shares one node
+    per goal; the replay is memoised per node object, so a node met again
+    at a goal equal to its own is accepted without a second replay, and one
+    met at any other goal is rejected."""
     if result.bisimilar or result.witness is None:
         raise WitnessMalformed("only refutations carry a witness")
     game = _Game(result.mode, result.game.clause_style)

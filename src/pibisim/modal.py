@@ -9,6 +9,12 @@ quantify over every symbolic transition branch, diamonds must succeed without
 instantiating anything, and input universals introduce fresh eigenvariables.
 Open mode is restricted to the sublogic whose modalities are tau, free
 output, bound output, match, and late bound input (with their duals).
+
+Both checks walk the formula as it is, with an environment of the names
+opened at the binders crossed so far: ``Bound(i)`` reads as ``env[i]``, so a
+bound modality opens its body by extending the environment, not by
+rebuilding the body.  Where open mode instantiates by a substitution, it
+maps the environment's names through it along with the body.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from .syntax import (
     Tau,
     free_names,
     open_abs,
-    pretty_name,
+    walk_names,
     ParseError,
     UnboundName,
     KEYWORDS,
+    _Namer,
 )
 from .lts import tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
@@ -216,19 +223,6 @@ def _map_action(a: Action, fn, depth: int) -> Action:
     raise TypeError(f"not an action: {a!r}")
 
 
-def open_formula(body: Formula, name: Name) -> Formula:
-    def fn(n, d):
-        match n:
-            case Bound(i) if i == d:
-                return name
-            case Bound(i) if i > d:
-                return Bound(i - 1)
-            case _:
-                return n
-
-    return map_formula_names(body, fn)
-
-
 def close_formula(f: Formula, name: Name) -> Formula:
     def fn(n, d):
         match n:
@@ -248,16 +242,55 @@ def apply_subst_formula(theta: Subst, f: Formula) -> Formula:
     return map_formula_names(f, lambda n, _d: theta.name(n))
 
 
-def formula_names(f: Formula) -> frozenset:
+def walk_formula_names(f: Formula, fn, depth: int = 0) -> None:
+    """Call ``fn(name, depth)`` on every name occurrence of ``f`` in
+    ``map_formula_names`` order, building nothing."""
+    while True:
+        match f:
+            case TrueF() | FalseF():
+                return
+            case And(l, r) | Or(l, r):
+                walk_formula_names(l, fn, depth)
+                f = r
+            case MatchDia(a, b, body) | MatchBox(a, b, body):
+                fn(a, depth)
+                fn(b, depth)
+                f = body
+            case FreeDia(act, body) | FreeBox(act, body):
+                walk_names(act, fn, depth)
+                f = body
+            case _ if isinstance(f, _ABS_NODES):
+                fn(f.ch, depth)
+                f, depth = f.body, depth + 1
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+
+
+def formula_names(f: Formula, env: tuple = (), depth: int = 0) -> frozenset:
+    """The scoped constants and eigenvariables of ``f``, where ``f`` sits
+    under ``depth`` binders not yet opened and, outside them, under the
+    binders whose opened names are ``env`` (see ``_name_at``)."""
     acc: set = set()
+    walk_formula_names(f, lambda n, d: acc.add(_name_at(n, env, d)), depth)
+    return frozenset(n for n in acc if isinstance(n, (Nabla, Eigen)))
 
-    def fn(n, _d):
-        if isinstance(n, (Nabla, Eigen)):
-            acc.add(n)
-        return n
 
-    map_formula_names(f, fn)
-    return frozenset(acc)
+def _name_at(n: Name, env: tuple, depth: int = 0) -> Name:
+    """A formula name read under an environment: ``env[i]`` is the name
+    opened at the i-th binder crossed so far, innermost first, so an index
+    that points past the ``depth`` binders around ``n`` names an entry of
+    ``env``.  Reading names this way leaves the formula as it is."""
+    if isinstance(n, Bound) and 0 <= n.index - depth < len(env):
+        return env[n.index - depth]
+    return n
+
+
+def _action_at(act: Action, env: tuple) -> Action:
+    return _map_action(act, lambda n, _d: _name_at(n, env), 0) if env else act
+
+
+def _subst_env(theta: Subst, env: tuple) -> tuple:
+    return env if theta.is_identity() else tuple(theta.name(n) for n in env)
 
 
 def fresh_budget(a: Formula) -> int:
@@ -355,7 +388,7 @@ def sat_ground(
         levels = [n.level for n in free_names(p) | formula_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
     budget = fresh_budget(a) if extra_names is None else extra_names
-    return _sat(p, a, depth, budget, {} if table is None else table)
+    return _sat(p, a, depth, budget, {} if table is None else table, ())
 
 
 def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
@@ -365,53 +398,51 @@ def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
     return cands
 
 
-def _sat(p: Process, a: Formula, depth: int, budget: int, table: dict) -> bool:
+def _sat(p: Process, a: Formula, depth: int, budget: int, table: dict, env: tuple) -> bool:
     match a:
         case TrueF():
             return True
         case FalseF():
             return False
         case And(l, r):
-            return _sat(p, l, depth, budget, table) and _sat(p, r, depth, budget, table)
+            return _sat(p, l, depth, budget, table, env) and _sat(p, r, depth, budget, table, env)
         case Or(l, r):
-            return _sat(p, l, depth, budget, table) or _sat(p, r, depth, budget, table)
+            return _sat(p, l, depth, budget, table, env) or _sat(p, r, depth, budget, table, env)
         case MatchDia(x, y, body):
-            return x == y and _sat(p, body, depth, budget, table)
+            return _name_at(x, env) == _name_at(y, env) and _sat(p, body, depth, budget, table, env)
         case MatchBox(x, y, body):
-            return x != y or _sat(p, body, depth, budget, table)
+            return _name_at(x, env) != _name_at(y, env) or _sat(p, body, depth, budget, table, env)
         case FreeDia(act, body):
+            act = _action_at(act, env)
             return any(
-                _sat(t.cont, body, depth, budget, table)
+                _sat(t.cont, body, depth, budget, table, env)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
         case FreeBox(act, body):
+            act = _action_at(act, env)
             return all(
-                _sat(t.cont, body, depth, budget, table)
+                _sat(t.cont, body, depth, budget, table, env)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
-        case OutDia(ch, body):
+        case OutDia(ch, body) | OutBox(ch, body):
             w = Nabla(depth + 1)
-            return any(
-                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
+            act, inner = BoundOut(_name_at(ch, env)), (w,) + env
+            some = any if isinstance(a, OutDia) else all
+            return some(
+                _sat(open_abs(t.cont, w), body, depth + 1, budget, table, inner)
                 for t in tabled_successors(p, depth, table)[1]
-                if t.action == BoundOut(ch)
-            )
-        case OutBox(ch, body):
-            w = Nabla(depth + 1)
-            return all(
-                _sat(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
-                for t in tabled_successors(p, depth, table)[1]
-                if t.action == BoundOut(ch)
+                if t.action == act
             )
     # input modalities: quantifier nesting differs per flavour
-    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == BoundIn(a.ch)]
+    act = BoundIn(_name_at(a.ch, env))
+    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == act]
     cands = _in_candidates(depth, budget)
 
     def hold(t, cand) -> bool:
         w, d2, b2 = cand
-        return _sat(open_abs(t.cont, w), open_formula(a.body, w), d2, b2, table)
+        return _sat(open_abs(t.cont, w), a.body, d2, b2, table, (w,) + env)
 
     match a:
         case InDia(_, _):
@@ -461,10 +492,12 @@ def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
 
 
 def sat_open_at(
-    p: Process, a: Formula, depth: int, next_eigen: int, table: dict | None = None
+    p: Process, a: Formula, depth: int, next_eigen: int, table: dict | None = None, env: tuple = ()
 ) -> bool:
     """Open satisfaction at nabla depth ``depth`` with eigenvariables from
-    ``next_eigen`` on still unused; ``table`` is as in ``sat_ground``."""
+    ``next_eigen`` on still unused; ``table`` is as in ``sat_ground``, and
+    ``env`` holds the names opened at the binders crossed so far, as in
+    ``_name_at``."""
     if table is None:
         table = {}
     match a:
@@ -473,50 +506,57 @@ def sat_open_at(
         case FalseF():
             return False
         case And(l, r):
-            return sat_open_at(p, l, depth, next_eigen, table) and sat_open_at(
-                p, r, depth, next_eigen, table
+            return sat_open_at(p, l, depth, next_eigen, table, env) and sat_open_at(
+                p, r, depth, next_eigen, table, env
             )
         case Or(l, r):
-            return sat_open_at(p, l, depth, next_eigen, table) or sat_open_at(
-                p, r, depth, next_eigen, table
+            return sat_open_at(p, l, depth, next_eigen, table, env) or sat_open_at(
+                p, r, depth, next_eigen, table, env
             )
         case MatchDia(x, y, body):
             # proving an equality outright: the names must already coincide
-            return x == y and sat_open_at(p, body, depth, next_eigen, table)
+            return _name_at(x, env) == _name_at(y, env) and sat_open_at(
+                p, body, depth, next_eigen, table, env
+            )
         case MatchBox(x, y, body):
-            rho = unify_names(x, y)
+            rho = unify_names(_name_at(x, env), _name_at(y, env))
             if rho is None:
                 return True  # the hypothesis x=y can never hold
-            return sat_open_at(rho(p), apply_subst_formula(rho, body), depth, next_eigen, table)
+            body, env = apply_subst_formula(rho, body), _subst_env(rho, env)
+            return sat_open_at(rho(p), body, depth, next_eigen, table, env)
         case FreeDia(act, body):
+            act = _action_at(act, env)
             return any(
-                sat_open_at(t.cont, body, depth, next_eigen, table)
+                sat_open_at(t.cont, body, depth, next_eigen, table, env)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.theta.is_identity() and t.action == act
             )
         case FreeBox(act, body):
+            act = _action_at(act, env)
             for t in tabled_successors(p, depth, table)[0]:
-                act_i = _apply_action(t.theta, act)
-                rho = unify_actions(act_i, t.action)
+                rho = unify_actions(_apply_action(t.theta, act), t.action)
                 if rho is None:
                     continue
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
-                    rho(t.cont), apply_subst_formula(sigma, body), depth, next_eigen, table
+                    rho(t.cont),
+                    apply_subst_formula(sigma, body),
+                    depth,
+                    next_eigen,
+                    table,
+                    _subst_env(sigma, env),
                 ):
                     return False
             return True
         case OutDia(ch, body):
-            w = Nabla(depth + 1)
+            w, act = Nabla(depth + 1), BoundOut(_name_at(ch, env))
             return any(
-                sat_open_at(
-                    open_abs(t.cont, w), open_formula(body, w), depth + 1, next_eigen, table
-                )
+                sat_open_at(open_abs(t.cont, w), body, depth + 1, next_eigen, table, (w,) + env)
                 for t in tabled_successors(p, depth, table)[1]
-                if t.theta.is_identity() and t.action == BoundOut(ch)
+                if t.theta.is_identity() and t.action == act
             )
         case OutBox(ch, body):
-            w = Nabla(depth + 1)
+            w, ch = Nabla(depth + 1), _name_at(ch, env)
             for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundOut):
                     continue
@@ -526,23 +566,23 @@ def sat_open_at(
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
                     open_abs(rho(t.cont), w),
-                    open_formula(apply_subst_formula(sigma, body), w),
+                    apply_subst_formula(sigma, body),
                     depth + 1,
                     next_eigen,
                     table,
+                    (w,) + _subst_env(sigma, env),
                 ):
                     return False
             return True
         case InDiaL(ch, body):
-            w = Eigen(next_eigen, depth)
+            w, act = Eigen(next_eigen, depth), BoundIn(_name_at(ch, env))
             return any(
-                sat_open_at(
-                    open_abs(t.cont, w), open_formula(body, w), depth, next_eigen + 1, table
-                )
+                sat_open_at(open_abs(t.cont, w), body, depth, next_eigen + 1, table, (w,) + env)
                 for t in tabled_successors(p, depth, table)[1]
-                if t.theta.is_identity() and t.action == BoundIn(ch)
+                if t.theta.is_identity() and t.action == act
             )
         case InBoxL(ch, body):
+            ch = _name_at(ch, env)
             for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundIn):
                     continue
@@ -551,20 +591,12 @@ def sat_open_at(
                     continue
                 sigma = compose(rho, t.theta)
                 cont = rho(t.cont)
-                body_i = apply_subst_formula(sigma, body)
+                body_i, env_i = apply_subst_formula(sigma, body), _subst_env(sigma, env)
                 scope = [Nabla(l) for l in range(1, depth + 1)]
-                scope += sorted(
-                    {
-                        n
-                        for n in (free_names(cont) | formula_names(body_i) | free_names(sigma(p)))
-                        if isinstance(n, Eigen)
-                    },
-                    key=lambda e: e.id,
-                )
+                names = free_names(cont) | formula_names(body_i, env_i, 1) | free_names(sigma(p))
+                scope += sorted({n for n in names if isinstance(n, Eigen)}, key=lambda e: e.id)
                 if not any(
-                    sat_open_at(
-                        open_abs(cont, y), open_formula(body_i, y), depth, next_eigen, table
-                    )
+                    sat_open_at(open_abs(cont, y), body_i, depth, next_eigen, table, (y,) + env_i)
                     for y in scope
                 ):
                     return False
@@ -764,16 +796,12 @@ _BINDER_POOL_F = ("y", "z", "u", "v", "w", "m", "n", "o", "p", "q", "r", "s")
 
 
 def pretty_formula(f: Formula, prefix: Prefix = Prefix(())) -> str:
-    taken = set(prefix.idents)
-
-    def name(n: Name, binders: list) -> str:
-        if isinstance(n, Bound):
-            return binders[n.index] if n.index < len(binders) else f"?{n.index}"
-        return pretty_name(n, prefix)
+    namer = _Namer(prefix)
+    name = namer.name
 
     def fresh(binders: list) -> str:
         for cand in _BINDER_POOL_F:
-            if cand not in taken and cand not in binders:
+            if cand not in namer.taken and cand not in binders:
                 return cand
         i = 1
         while f"b{i}" in binders:

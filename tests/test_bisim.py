@@ -1,5 +1,6 @@
 """Open/late/early bisimilarity engine: verdicts, certificates, witnesses."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -425,6 +426,53 @@ class TestVerifyWitness:
             if w == res.witness or pb.verify_witness(replace(res, witness=w))
         ]
         assert accepted == []
+
+    def test_explain_returns_one_node_per_goal(self):
+        p, q, _ = pair("tau.0 | tau.0", "tau.0 | tau.tau.0", "")
+        for res in (pb.open_bisim(p, q), pb.late_bisim(p, q), pb.early_bisim(p, q)):
+            nodes, by_goal, todo = 0, {}, [res.witness]
+            while todo:
+                node = todo.pop()
+                nodes += 1
+                assert by_goal.setdefault(node.goal, node) is node
+                todo.extend(r.child for r in node.replies)
+            assert nodes > len(by_goal)  # a goal repeats, and its node is shared
+            assert res.game.explain(replace(res.root)) is res.witness
+            for goal, node in by_goal.items():
+                assert res.game.explain(replace(goal)) is node
+
+    def test_rejects_a_node_reused_at_another_goal(self):
+        # below the root input a right tau with two replies whose goals differ;
+        # the second reply reuses the first one's node, which the replay has
+        # just accepted at its own goal
+        res = _refutation("open-input")
+        inner = res.witness.replies[0].child
+        first, second = (r.child for r in inner.replies)
+        assert first.goal != second.goal
+        reused = _edit_reply(res.witness, (0,), 1, child=first)
+        assert reused.replies[0].child.replies[1].child is first
+        assert not pb.verify_witness(replace(res, witness=reused))
+
+    def test_replays_each_shared_node_once(self, monkeypatch):
+        p, q, _ = pair("tau.0 | tau.0 | tau.0", "tau.0 | tau.0 | tau.tau.0", "")
+        res = pb.late_bisim(p, q)
+        nodes, paths, todo = {}, Counter(), [res.witness]
+        while todo:
+            node = todo.pop()
+            nodes[id(node)] = node
+            paths[id(node)] += 1
+            todo.extend(r.child for r in node.replies)
+        assert any(paths[i] > 1 and n.replies for i, n in nodes.items())
+        replayed = []
+        real = pb.bisim._Game._expected_child
+
+        def counted(self, goal, node, *args):
+            replayed.append(id(node))
+            return real(self, goal, node, *args)
+
+        monkeypatch.setattr(pb.bisim._Game, "_expected_child", counted)
+        assert pb.verify_witness(res)
+        assert sorted(replayed) == sorted(i for i, n in nodes.items() for _ in n.replies)
 
     def test_calls_no_decider(self, monkeypatch):
         res = _refutation("open-input")

@@ -1,8 +1,14 @@
 """Modal satisfaction: ground (excluded middle) and open (intuitionistic)."""
 
+import random
+
 import pytest
 
+import corpus
+import modal_reference as ref
+import oracles
 import pibisim as pb
+from agree import enc as enc_tuple, make_prefix
 from pibisim.modal import (
     FALSE,
     TRUE,
@@ -17,6 +23,8 @@ from pibisim.modal import (
     MatchDia,
     Or,
     OutDia,
+    enumerate_lm,
+    sat_open_at,
 )
 from pibisim.syntax import Bound, Nabla, Nil
 
@@ -280,3 +288,76 @@ class TestFormulaSyntax:
         assert isinstance(f, InDiaL)
         inner = f.body
         assert isinstance(inner, OutDia) is False  # body shape: FreeDia
+
+
+WALK_NAMES = ("a", "b")
+# processes with guards and binders for the open comparison, besides random ones
+WALK_PROCS = (
+    "[a=b]tau.0",
+    "a?(u).[u=b]tau.0 + a!b.0",
+    "(nu c)a!c.(c?(u).[u=b]tau.0 | [c=a]tau.0)",
+    "a?(x).x!x.0",
+    "a?(x).a?(y).a?(z).0",
+)
+# an opened name that a guard instantiates and that is read again after it;
+# input boxes whose names in scope come from an outer binder's name alone,
+# one and two binders out
+WALK_FORMULAS = (
+    "<a?(u)>L [u=a]<u!u>true",
+    "[a?(u)]L <u=b>[a?(w)]L <w=u>true",
+    "[a?(u)]L <u=b><a?(t)>L [a?(w)]L <w=u>true",
+)
+
+
+class TestEnvironmentWalk:
+    """``sat_ground`` and ``sat_open_at`` read opened names through an
+    environment; they agree with the substituting reference in
+    ``tests/modal_reference.py``, which rebuilds each body it opens."""
+
+    def test_ground_agrees_with_substitution(self):
+        rng = random.Random(5150)
+        prefix, depth = make_prefix(WALK_NAMES), len(WALK_NAMES)
+        seen = set()
+        for _ in range(400):
+            p = enc_tuple(corpus.random_proc(rng, max_prefixes=4, names=WALK_NAMES), prefix)
+            f = oracles.random_formula(rng, rng.randint(1, 3), WALK_NAMES)
+            f = fml(oracles.formula_to_text(f), prefix)
+            budget, table = pb.fresh_budget(f), {}
+            for g in (f, pb.dual(f)):
+                verdict = pb.sat_ground(p, g, budget, depth=depth)
+                assert verdict == ref.sat_ground(p, g, depth, budget, table), (p, g)
+                seen.add((verdict, "Bound" in repr(g)))
+        assert seen == {(v, b) for v in (True, False) for b in (True, False)}
+
+    @pytest.mark.parametrize(
+        "prefix_text",
+        ["forall a, forall b", "forall a, nabla b", "nabla a, forall b", "nabla a, nabla b"],
+    )
+    def test_open_agrees_with_substitution(self, prefix_text):
+        prefix = pb.parse_prefix(prefix_text)
+        depth, ne = prefix.nabla_count, prefix.eigen_count + 1
+        rng = random.Random(prefix_text)
+        procs = [enc(t, prefix) for t in WALK_PROCS] + [
+            enc_tuple(corpus.random_proc(rng, max_prefixes=4, names=WALK_NAMES), prefix)
+            for _ in range(3)
+        ]
+        names = [prefix.name_map()[n] for n in WALK_NAMES]
+        # every formula with a binder or a guard, one in eight of the others,
+        # and random ones of depth up to 4, where guards meet opened names
+        formulas = [
+            f
+            for i, f in enumerate(enumerate_lm(names, 2))
+            if i % 8 == 0 or any(k in repr(f) for k in ("Bound", "MatchBox", "MatchDia"))
+        ]
+        formulas += [fml(t, prefix) for t in WALK_FORMULAS]
+        for _ in range(150):
+            f = oracles.random_formula(rng, rng.randint(1, 4), WALK_NAMES, lm_only=True)
+            formulas.append(fml(oracles.formula_to_text(f), prefix))
+        seen = set()
+        for p in procs:
+            table = {}
+            for f in formulas:
+                verdict = sat_open_at(p, f, depth, ne, table)
+                assert verdict == ref.sat_open_at(p, f, depth, ne, table), (p, f)
+                seen.add((verdict, "MatchBox" in repr(f)))
+        assert seen == {(v, b) for v in (True, False) for b in (True, False)}

@@ -1,8 +1,9 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
 successors, the per-game successor table and its use by the formula check,
-the identity fast path of ``canonical_key``, playing the game up to
-structural congruence, and cached hashes over shared subterms leave steps,
-verdicts, evidence, keys and hashes unchanged."""
+one witness node per goal with the formula folded from it, the identity
+fast path of ``canonical_key``, playing the game up to structural
+congruence, and cached hashes over shared subterms leave steps, verdicts,
+evidence, keys and hashes unchanged."""
 
 import random
 from collections import Counter
@@ -211,6 +212,78 @@ def test_formula_check_reads_the_game_table(
     assert checks["sat_open_at" if mode == "open" else "sat_ground"] >= 2
     assert max(lts_requests.values()) == 1
     assert (lts_requests == before) == in_table
+
+
+# ------------------------------------------------- evidence from one pass
+
+# Refutations in every mode; in each parallel one some goal repeats in the
+# witness, so the witness shares that goal's node.
+ONE_PASS_CASES = [
+    ("open", "forall x", "x?(u).0 | x?(u).0 | x?(u).0", "x?(u).0 | x?(u).0 | x?(u).x?(v).0"),
+    ("open", "nabla x, nabla y", "x!y.0 | x!y.0", "x!y.0 | x!y.x!y.0"),
+    ("open", "forall x, forall z", SANGIORGI_P, SANGIORGI_Q),
+    ("late", "", "tau.0 | tau.0", "tau.0 | tau.tau.0"),
+    ("late", "nabla x", "x?(u).u!x.0 | x?(u).u!x.0", "x?(u).u!x.0 | x?(u).u!x.u!x.0"),
+    ("late", "nabla x, nabla a", "x?(u).tau.0 + x?(v).0 + x?(w).[w=a]tau.0",
+     "x?(u).tau.0 + x?(v).0"),
+    ("early", "nabla x", "x?(u).u!x.0 | x?(u).u!x.0", "x?(u).u!x.0 | x?(u).u!x.u!x.0"),
+    ("early", "nabla x, nabla a", "x?(u).(tau.0 + tau.tau.0)", "x?(u).tau.0 + x?(u).tau.tau.0"),
+]
+
+
+def _refute(mode, prefix_text, left, right):
+    prefix = pb.parse_prefix(prefix_text)
+    p, q = enc(left, prefix), enc(right, prefix)
+    if mode == "open":
+        res = pb.open_bisim(p, q, prefix)
+    else:
+        res = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q)
+    assert not res.bisimilar
+    return res
+
+
+def _witness_nodes(node):
+    """Every node of a witness, once per path that reaches it."""
+    out, todo = [], [node]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(r.child for r in node.replies)
+    return out
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
+def test_one_fail_node_per_witness_goal(monkeypatch, mode, prefix_text, left, right):
+    built = Counter()
+    real = bisim_mod._Game._fail_node
+
+    def counted(self, goal, *args):
+        built[goal] += 1
+        return real(self, goal, *args)
+
+    monkeypatch.setattr(bisim_mod._Game, "_fail_node", counted)
+    res = _refute(mode, prefix_text, left, right)
+    assert pb.verify_witness(res)
+    pb.distinguishing_formula(res)
+    nodes = _witness_nodes(res.witness)
+    goals = {n.goal for n in nodes}
+    assert built == Counter(goals)
+    assert len({id(n) for n in nodes}) == len(goals)
+    if "|" in left:
+        assert len(nodes) > len(goals)
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
+def test_formula_is_folded_from_the_witness(monkeypatch, mode, prefix_text, left, right):
+    res = _refute(mode, prefix_text, left, right)
+    expected = pb.distinguishing_formula(_refute(mode, prefix_text, left, right))
+
+    def forbidden(*_args):
+        raise AssertionError("formula synthesis rescanned an attack")
+
+    for name in ("_defended", "_late_failing_input", "_early_failing_input"):
+        monkeypatch.setattr(bisim_mod._Game, name, forbidden)
+    assert pb.distinguishing_formula(res) == expected
 
 
 # ---------------------------------------------------------- canonical keys
