@@ -1,14 +1,28 @@
 """Bisimilarity games over symbolic transitions.
 
-Three deciders share one engine.  ``open`` plays the substitution-closed game:
-an attacker move is any symbolic transition whose substitution respects the
-current distinction, the defender must answer with an identity-substitution
-transition of the instantiated opponent carrying exactly the same action, and
-bound inputs continue at a fresh eigenvariable (capped at the current nabla
-depth).  ``late`` and ``early`` play the classical games over an all-nabla
-prefix, where a bound input is split over the scoped constants in scope plus
-one strictly fresh constant; they differ only in whether the defender commits
-to a continuation before or after the received name is chosen.
+Three deciders share one engine.  An attacker move is any symbolic transition
+of either side whose substitution respects the current distinction; the
+defender answers with an identity-substitution transition of the
+instantiated opponent carrying exactly the same action.  Each move kind has
+one proof-search clause, and ``_Game._clause`` is the only place that tells
+the kinds apart.  The clause table, in the modes each row applies to:
+
+    move           names opened at              shape             modalities
+    tau, x!y       none                         one name          <a>, [a]
+    x!(w)          the next scoped constant     one name          <x!(w)>, [x!(w)]
+    x?(w), open    a fresh eigenvariable        one name          <x?(w)>L, [x?(w)]L
+    x?(w), late    scoped constants + 1 fresh   exists d, all w   <x?(w)>L, [x?(w)]L
+    x?(w), early   scoped constants + 1 fresh   all w, exists d   <x?(w)>E, [x?(w)]E
+
+``open`` plays the substitution-closed game over a mixed prefix, its
+eigenvariables capped at the current nabla depth; ``late`` and ``early`` play
+the classical games over an all-nabla prefix and differ only in the order of
+the two quantifiers over the received name ``w`` and the defender's answer
+``d``.  With one generic name the two orders coincide, so open mode has a
+single input clause.  Deciding, extracting a witness, replaying it and
+folding its formula all read the clause: its defenders, its names with the
+depth and next eigenvariable each opens at, its shape, its modalities, and
+its child goals, built on demand.
 
 The game is played up to structural congruence.  Moves, witnesses and
 formulas are computed on the raw terms, but each goal is memoised under the
@@ -43,7 +57,6 @@ from . import modal as M
 from .lts import Transition, infer_depth, tabled_successors
 from .syntax import (
     Action,
-    BoundIn,
     BoundOut,
     Eigen,
     Free,
@@ -165,18 +178,44 @@ def canonical_key(goal: Goal):
     return (goal.depth, map_names(goal.left, sub), map_names(goal.right, sub), pairs)
 
 
-def _ground_inputs(depth: int) -> list[Nabla]:
-    return [Nabla(l) for l in range(1, depth + 2)]
+# Quantifier shapes of a clause over its names and the defender's answers.
+_ONE = "one"  # a single name: nothing to search
+_LATE = "late"  # exists an answer, for all names
+_EARLY = "early"  # for all names, exists an answer
+
+
+@dataclass(slots=True)
+class _Clause:
+    """One attack's proof-search clause.  ``names`` are the names the
+    continuations open at, each with the depth and next eigenvariable id of
+    its child goals (``None`` for a move that opens nothing); ``shape`` orders
+    the quantifiers over names and ``defenders``; ``modalities`` is the
+    diamond/box pair a formula of the move folds with.  Child goals are built
+    on demand, one per defender and name."""
+
+    side: str
+    attack: Transition
+    distinct: Distinction
+    defenders: list[Transition]
+    names: tuple[tuple[Name | None, int, int], ...]
+    shape: str
+    modalities: tuple[type, type]
+
+    def child(self, d: Transition, name: tuple[Name | None, int, int]) -> Goal:
+        w, depth, next_eigen = name
+        a, b = self.attack.cont, d.cont
+        if w is not None:
+            a, b = open_abs(a, w), open_abs(b, w)
+        if self.side == "right":
+            a, b = b, a
+        return Goal(depth, next_eigen, self.distinct, a, b)
 
 
 class _Game:
-    def __init__(self, mode: str, clause_style: str = "late", max_depth: int | None = None):
+    def __init__(self, mode: str, max_depth: int | None = None):
         if mode not in ("open", "late", "early"):
             raise ValueError(f"unknown mode {mode!r}")
-        if clause_style not in ("late", "early"):
-            raise ValueError(f"unknown clause style {clause_style!r}")
         self.mode = mode
-        self.clause_style = clause_style
         self.max_depth = max_depth
         self.stats = Stats()
         self.memo: dict = {}
@@ -195,10 +234,26 @@ class _Game:
         free, bound = tabled_successors(p, depth, self.table)
         return free + bound
 
-    def _defenders(self, q: Process, action: Action, depth: int) -> list[Transition]:
-        free, bound = tabled_successors(q, depth, self.table)
-        ts = free if isinstance(action, (Tau, FreeOut)) else bound
-        return [t for t in ts if t.theta.is_identity() and t.action == action]
+    def _clause(self, goal: Goal, side: str, t: Transition) -> _Clause:
+        """The clause of attack ``t`` by ``side``: the one place where moves
+        split by kind, one row of the module docstring's table each."""
+        d, ne, act = goal.depth, goal.next_eigen, t.action
+        q = t.theta(goal.right if side == "left" else goal.left)
+        free, bound = tabled_successors(q, d, self.table)
+        if isinstance(act, (Tau, FreeOut)):
+            ts, names, shape, mods = free, ((None, d, ne),), _ONE, (M.FreeDia, M.FreeBox)
+        elif isinstance(act, BoundOut):
+            ts, names, shape, mods = bound, ((Nabla(d + 1), d + 1, ne),), _ONE, (M.OutDia, M.OutBox)
+        elif self.mode == "open":
+            ts, names, shape, mods = bound, ((Eigen(ne, d), d, ne + 1),), _ONE, (M.InDiaL, M.InBoxL)
+        else:
+            ts, names = bound, tuple((Nabla(l), max(d, l), ne) for l in range(1, d + 2))
+            if self.mode == "late":
+                shape, mods = _LATE, (M.InDiaL, M.InBoxL)
+            else:
+                shape, mods = _EARLY, (M.InDiaE, M.InBoxE)
+        defenders = [u for u in ts if u.theta.is_identity() and u.action == act]
+        return _Clause(side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods)
 
     def _normal_form(self, p: Process) -> Process:
         hit = self.nf.get(p)
@@ -242,77 +297,11 @@ class _Game:
                 return False
         return True
 
-    def _pair(self, side: str, attacker_cont: Process, defender_cont: Process):
-        if side == "left":
-            return attacker_cont, defender_cont
-        return defender_cont, attacker_cont
-
-    def _instantiated_opponent(self, goal: Goal, side: str, t: Transition) -> Process:
-        q = goal.right if side == "left" else goal.left
-        return t.theta(q)
-
-    def _child(
-        self,
-        goal: Goal,
-        side: str,
-        t: Transition,
-        d: Transition,
-        w: Name | None,
-        depth: int,
-        next_eigen: int,
-        d2: Distinction,
-    ) -> Goal:
-        if w is None:
-            a_cont, d_cont = t.cont, d.cont
-        else:
-            a_cont, d_cont = open_abs(t.cont, w), open_abs(d.cont, w)
-        l, r = self._pair(side, a_cont, d_cont)
-        return Goal(depth, next_eigen, d2, l, r)
-
     def _defended(self, goal: Goal, side: str, t: Transition) -> bool:
-        d2 = goal.distinct.apply(t.theta)
-        q = self._instantiated_opponent(goal, side, t)
-        dfs = self._defenders(q, t.action, goal.depth)
-        act = t.action
-        if isinstance(act, (Tau, FreeOut)):
-            return any(
-                self.check(self._child(goal, side, t, d, None, goal.depth, goal.next_eigen, d2))
-                for d in dfs
-            )
-        if isinstance(act, BoundOut):
-            w = Nabla(goal.depth + 1)
-            return any(
-                self.check(self._child(goal, side, t, d, w, goal.depth + 1, goal.next_eigen, d2))
-                for d in dfs
-            )
-        # bound input
-        if self.mode == "open":
-            w = Eigen(goal.next_eigen, goal.depth)
-            ne = goal.next_eigen + 1
-            return any(
-                self.check(self._child(goal, side, t, d, w, goal.depth, ne, d2)) for d in dfs
-            )
-        cands = _ground_inputs(goal.depth)
-        if self.mode == "late":
-            return any(
-                all(
-                    self.check(
-                        self._child(goal, side, t, d, w, max(goal.depth, w.level), goal.next_eigen, d2)
-                    )
-                    for w in cands
-                )
-                for d in dfs
-            )
-        # early: the received name is chosen before the defender commits
-        return all(
-            any(
-                self.check(
-                    self._child(goal, side, t, d, w, max(goal.depth, w.level), goal.next_eigen, d2)
-                )
-                for d in dfs
-            )
-            for w in cands
-        )
+        c = self._clause(goal, side, t)
+        if c.shape == _LATE:
+            return any(all(self.check(c.child(d, n)) for n in c.names) for d in c.defenders)
+        return all(any(self.check(c.child(d, n)) for d in c.defenders) for n in c.names)
 
     # ------------------------------------------------------ witness extraction
 
@@ -339,55 +328,26 @@ class _Game:
         return node
 
     def _fail_node(self, goal: Goal, side: str, idx: int, t: Transition) -> FailNode:
-        d2 = goal.distinct.apply(t.theta)
-        q = self._instantiated_opponent(goal, side, t)
-        dfs = self._defenders(q, t.action, goal.depth)
-        act = t.action
-        inst: Name | None = None
+        """The witness node of a winning attack: each defender answer with
+        the refuted child goal it leads to, at the first name that refutes
+        it, chosen once for all answers unless the defender answers first."""
+        c = self._clause(goal, side, t)
+        name = c.names[0]
+        if c.shape == _EARLY:
+            lost = (n for n in c.names if not any(self.check(c.child(d, n)) for d in c.defenders))
+            name = next(lost, None)
+            if name is None:
+                raise InternalError("attack reported winning but every received name is answered")
+        inst = None if c.shape == _LATE else name[0]
         replies: list[Reply] = []
-        if isinstance(act, (Tau, FreeOut)):
-            for i, d in enumerate(dfs):
-                child = self._child(goal, side, t, d, None, goal.depth, goal.next_eigen, d2)
-                replies.append(Reply(i, None, self.explain(child)))
-        elif isinstance(act, BoundOut):
-            inst = Nabla(goal.depth + 1)
-            for i, d in enumerate(dfs):
-                child = self._child(goal, side, t, d, inst, goal.depth + 1, goal.next_eigen, d2)
-                replies.append(Reply(i, None, self.explain(child)))
-        elif self.mode == "open":
-            inst = Eigen(goal.next_eigen, goal.depth)
-            for i, d in enumerate(dfs):
-                child = self._child(goal, side, t, d, inst, goal.depth, goal.next_eigen + 1, d2)
-                replies.append(Reply(i, None, self.explain(child)))
-        elif self.mode == "late":
-            for i, d in enumerate(dfs):
-                w, child = self._late_failing_input(goal, side, t, d, d2)
-                replies.append(Reply(i, w, self.explain(child)))
-        else:  # early
-            inst = self._early_failing_input(goal, side, t, dfs, d2)
-            for i, d in enumerate(dfs):
-                child = self._child(
-                    goal, side, t, d, inst, max(goal.depth, inst.level), goal.next_eigen, d2
-                )
-                replies.append(Reply(i, None, self.explain(child)))
+        for i, d in enumerate(c.defenders):
+            if c.shape == _LATE:
+                name = next((n for n in c.names if not self.check(c.child(d, n))), None)
+                if name is None:
+                    raise InternalError("defender reported defeated but every received name works")
+            w = name[0] if c.shape == _LATE else None
+            replies.append(Reply(i, w, self.explain(c.child(d, name))))
         return FailNode(goal, side, idx, t.theta, t.action, inst, tuple(replies))
-
-    def _late_failing_input(self, goal, side, t, d, d2) -> tuple[Nabla, Goal]:
-        for w in _ground_inputs(goal.depth):
-            child = self._child(goal, side, t, d, w, max(goal.depth, w.level), goal.next_eigen, d2)
-            if not self.check(child):
-                return w, child
-        raise InternalError("defender reported defeated but every received name works")
-
-    def _early_failing_input(self, goal, side, t, dfs, d2) -> Nabla:
-        for w in _ground_inputs(goal.depth):
-            children = [
-                self._child(goal, side, t, d, w, max(goal.depth, w.level), goal.next_eigen, d2)
-                for d in dfs
-            ]
-            if not any(self.check(c) for c in children):
-                return w
-        raise InternalError("attack reported winning but every received name is answered")
 
     # ------------------------------------------------- strategy re-verification
 
@@ -409,40 +369,17 @@ class _Game:
             return False
         if not respects(t.theta, goal.distinct):
             return False
-        d2 = goal.distinct.apply(t.theta)
-        q = self._instantiated_opponent(goal, node.side, t)
-        dfs = self._defenders(q, t.action, goal.depth)
-        if [r.defender_index for r in node.replies] != list(range(len(dfs))):
+        c = self._clause(goal, node.side, t)
+        if [r.defender_index for r in node.replies] != list(range(len(c.defenders))):
             return False
-        for reply, d in zip(node.replies, dfs):
-            expected = self._expected_child(goal, node, t, d, reply, d2)
-            if expected is None or not self.verify_node(expected, reply.child):
+        for reply, d in zip(node.replies, c.defenders):
+            # the recorded name must be one the clause opens at
+            w = reply.instantiation if c.shape == _LATE else node.instantiation
+            name = next((n for n in c.names if n[0] == w), None)
+            if name is None or not self.verify_node(c.child(d, name), reply.child):
                 return False
         self.replayed[id(node)] = node
         return True
-
-    def _expected_child(self, goal, node, t, d, reply, d2) -> Goal | None:
-        act = t.action
-        if isinstance(act, (Tau, FreeOut)):
-            return self._child(goal, node.side, t, d, None, goal.depth, goal.next_eigen, d2)
-        if isinstance(act, BoundOut):
-            if node.instantiation != Nabla(goal.depth + 1):
-                return None
-            return self._child(
-                goal, node.side, t, d, node.instantiation, goal.depth + 1, goal.next_eigen, d2
-            )
-        if self.mode == "open":
-            if node.instantiation != Eigen(goal.next_eigen, goal.depth):
-                return None
-            return self._child(
-                goal, node.side, t, d, node.instantiation, goal.depth, goal.next_eigen + 1, d2
-            )
-        w = reply.instantiation if self.mode == "late" else node.instantiation
-        if not isinstance(w, Nabla) or not 1 <= w.level <= goal.depth + 1:
-            return None
-        return self._child(
-            goal, node.side, t, d, w, max(goal.depth, w.level), goal.next_eigen, d2
-        )
 
     # ------------------------------------------------- distinguishing formulas
 
@@ -472,35 +409,31 @@ class _Game:
         raise InternalError("formula composition failed in a ground mode")
 
     def _compose(self, node: FailNode) -> M.Formula | None:
-        """The formula of a winning attack, read off its witness node: guards,
-        then a diamond over the conjunction of the replies' formulas when the
-        left process attacks, a box over their disjunction when the right one
-        does.  In open mode a box is only kept if satisfaction checking
-        confirms it."""
-        left, act, w = node.side == "left", node.action, node.instantiation
-        late = self.mode == "late" and isinstance(act, BoundIn)
+        """The formula of a winning attack, read off its witness node and the
+        attack's clause: guards, then the clause's diamond over the
+        conjunction of the replies' formulas when the left process attacks,
+        its box over their disjunction when the right one does.  A received
+        name is guarded per reply when the defender answers first (late),
+        and once for the body when the name is chosen first (early).  In open
+        mode a box is only kept if satisfaction checking confirms it."""
+        goal, left, act = node.goal, node.side == "left", node.action
+        t = self.attacks(goal.left if left else goal.right, goal.depth)[node.attacker_index]
+        c = self._clause(goal, node.side, t)
         recv_guard = M.MatchBox if left else M.MatchDia
         subs = []
         for r in node.replies:
             h = self.build_left(r.child.goal)
             if h is None:
                 return None
-            subs.append(recv_guard(_RECV, r.instantiation, h) if late else h)
+            subs.append(recv_guard(_RECV, r.instantiation, h) if c.shape == _LATE else h)
         body = _conj(subs) if left else _disj(subs)
-        if isinstance(act, (Tau, FreeOut)):
-            core = (M.FreeDia if left else M.FreeBox)(act, body)
-        elif isinstance(act, BoundOut):
-            core = (M.OutDia if left else M.OutBox)(act.ch, M.close_formula(body, w))
-        elif self.mode == "open":
-            core = (M.InDiaL if left else M.InBoxL)(act.ch, M.close_formula(body, w))
-        elif late:
-            core = (M.InDiaL if left else M.InBoxL)(act.ch, M.close_formula(body, _RECV))
-        else:  # early
-            core = (M.InDiaE if left else M.InBoxE)(
-                act.ch, M.close_formula(recv_guard(_RECV, w, body), _RECV)
-            )
+        if c.shape == _EARLY:
+            body = recv_guard(_RECV, node.instantiation, body)
+        w = node.instantiation if c.shape == _ONE else _RECV
+        modality = c.modalities[0 if left else 1]
+        core = modality(act, body) if w is None else modality(act.ch, M.close_formula(body, w))
         f = _guard(node.theta, core)
-        if self.mode == "open" and not left and not self._holds_left_only(node.goal, f):
+        if self.mode == "open" and not left and not self._holds_left_only(goal, f):
             return None
         return f
 
@@ -600,14 +533,13 @@ def open_bisim(
     right: Process,
     prefix: Prefix = Prefix(()),
     distinct: Distinction = EMPTY_DISTINCTION,
-    clause_style: str = "late",
     max_depth: int | None = None,
 ) -> BisimResult:
     _check_inputs(left, right)
     depth = max(prefix.nabla_count, infer_depth(left), infer_depth(right))
     ne = max(prefix.eigen_count, max_eigen_id(left), max_eigen_id(right)) + 1
     root = Goal(depth, ne, distinct, left, right)
-    return _run("open", root, _Game("open", clause_style, max_depth))
+    return _run("open", root, _Game("open", max_depth))
 
 
 def _ground_bisim(mode: str, left, right, depth, distinct, max_depth) -> BisimResult:
@@ -673,7 +605,7 @@ def verify_witness(result: BisimResult) -> bool:
     met at any other goal is rejected."""
     if result.bisimilar or result.witness is None:
         raise WitnessMalformed("only refutations carry a witness")
-    game = _Game(result.mode, result.game.clause_style)
+    game = _Game(result.mode)
     return game.verify_node(result.root, result.witness)
 
 
@@ -684,7 +616,7 @@ class _CertificateGame(_Game):
     open/late/early quantifier shapes as the game that produced it."""
 
     def __init__(self, result: BisimResult):
-        super().__init__(result.mode, result.game.clause_style)
+        super().__init__(result.mode)
         self.members = {canonical_key(self._normalised(g)) for g in result.certificate}
 
     def check(self, goal: Goal) -> bool:

@@ -86,7 +86,6 @@ _INPUT_ERRORS = (
     B.WitnessMalformed,
     B.DepthBudgetExceeded,
     M.FormulaOutsideLM,
-    M.FreeInputModality,
     L.StateBudgetExceeded,
     OSError,
 )

@@ -29,7 +29,6 @@ from .syntax import (
     BoundOut,
     Eigen,
     Free,
-    FreeIn,
     FreeOut,
     Nabla,
     Name,
@@ -38,20 +37,17 @@ from .syntax import (
     TAU,
     Tau,
     free_names,
+    map_names,
     open_abs,
     walk_names,
     ParseError,
     UnboundName,
     KEYWORDS,
     _Namer,
+    _TokenParser,
 )
 from .lts import tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
-
-
-class FreeInputModality(Exception):
-    def __init__(self):
-        super().__init__("formulas over the free input action are not checkable")
 
 
 class FormulaOutsideLM(Exception):
@@ -200,27 +196,12 @@ def map_formula_names(f: Formula, fn, depth: int = 0) -> Formula:
         case MatchBox(a, b, body):
             return MatchBox(fn(a, depth), fn(b, depth), map_formula_names(body, fn, depth))
         case FreeDia(act, body):
-            return FreeDia(_map_action(act, fn, depth), map_formula_names(body, fn, depth))
+            return FreeDia(map_names(act, fn, depth), map_formula_names(body, fn, depth))
         case FreeBox(act, body):
-            return FreeBox(_map_action(act, fn, depth), map_formula_names(body, fn, depth))
+            return FreeBox(map_names(act, fn, depth), map_formula_names(body, fn, depth))
         case _ if isinstance(f, _ABS_NODES):
             return type(f)(fn(f.ch, depth), map_formula_names(f.body, fn, depth + 1))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _map_action(a: Action, fn, depth: int) -> Action:
-    match a:
-        case Tau():
-            return a
-        case FreeOut(ch, obj):
-            return FreeOut(fn(ch, depth), fn(obj, depth))
-        case FreeIn(ch, obj):
-            return FreeIn(fn(ch, depth), fn(obj, depth))
-        case BoundOut(ch):
-            return BoundOut(fn(ch, depth))
-        case BoundIn(ch):
-            return BoundIn(fn(ch, depth))
-    raise TypeError(f"not an action: {a!r}")
 
 
 def close_formula(f: Formula, name: Name) -> Formula:
@@ -286,7 +267,7 @@ def _name_at(n: Name, env: tuple, depth: int = 0) -> Name:
 
 
 def _action_at(act: Action, env: tuple) -> Action:
-    return _map_action(act, lambda n, _d: _name_at(n, env), 0) if env else act
+    return map_names(act, lambda n, _d: _name_at(n, env)) if env else act
 
 
 def _subst_env(theta: Subst, env: tuple) -> tuple:
@@ -335,21 +316,6 @@ def dual(f: Formula) -> Formula:
     return _DUALS[type(f)](f)
 
 
-def _check_no_free_input(f: Formula) -> None:
-    match f:
-        case FreeDia(act, _) | FreeBox(act, _):
-            if isinstance(act, FreeIn):
-                raise FreeInputModality()
-    match f:
-        case And(l, r) | Or(l, r):
-            _check_no_free_input(l)
-            _check_no_free_input(r)
-        case MatchDia(_, _, b) | MatchBox(_, _, b) | FreeDia(_, b) | FreeBox(_, b):
-            _check_no_free_input(b)
-        case _ if isinstance(f, _ABS_NODES):
-            _check_no_free_input(f.body)
-
-
 def _first_non_lm(f: Formula) -> str:
     match f:
         case TrueF() | FalseF():
@@ -383,7 +349,6 @@ def sat_ground(
     defaults to the formula's fresh budget.  ``table`` is a successor table
     for ``lts.tabled_successors``, such as a bisimulation game's; by default
     the check starts its own, so it asks ``lts`` once per term."""
-    _check_no_free_input(a)
     if depth is None:
         levels = [n.level for n in free_names(p) | formula_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
@@ -484,7 +449,6 @@ def unify_actions(a: Action, b: Action) -> Subst | None:
 def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
     """Provability of the prefix-quantified satisfaction judgment, without
     excluded middle on eigenvariables."""
-    _check_no_free_input(a)
     bad = _first_non_lm(a)
     if bad:
         raise FormulaOutsideLM(bad)
@@ -607,7 +571,7 @@ def sat_open_at(
 def _apply_action(theta: Subst, act: Action) -> Action:
     if theta.is_identity():
         return act
-    return _map_action(act, lambda n, _d: theta.name(n), 0)
+    return map_names(act, lambda n, _d: theta.name(n))
 
 
 # ------------------------------------------------------------------ surface syntax
@@ -615,42 +579,14 @@ def _apply_action(theta: Subst, act: Action) -> Action:
 _RESERVED_FORMULA = {"true", "false", "v", "L", "E"} | KEYWORDS
 
 
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_formula(text)
-        self.i = 0
+class _FormulaParser(_TokenParser):
+    token_re = re.compile(
+        r"\s*(?:(?P<ident>[a-z][a-zA-Z0-9_]*|[LE])|(?P<punct>[<>\[\]=!?()&.]))"
+    )
+    token_what = "a formula token"
+    reserved = _RESERVED_FORMULA
 
-    def peek(self, ahead: int = 0):
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.peek()
-        if val != value or kind == "eof":
-            raise ParseError(pos, (repr(value),), val)
-        return self.next()
-
-    def expect_name(self):
-        kind, val, pos = self.peek()
-        if kind != "ident" or val in _RESERVED_FORMULA:
-            raise ParseError(pos, ("name",), val)
-        self.next()
-        return val
-
-    def parse(self) -> Formula:
-        f = self.disj([])
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(pos, ("end of input",), val)
-        return f
-
-    def disj(self, env) -> Formula:
+    def top(self, env) -> Formula:
         parts = [self.conj(env)]
         while self.peek()[1] == "v":
             self.next()
@@ -670,11 +606,6 @@ class _FormulaParser:
             out = And(part, out)
         return out
 
-    def resolve(self, ident: str, env: list) -> Name:
-        if ident in env:
-            return Bound(env.index(ident))
-        return Free(ident)
-
     def unary(self, env) -> Formula:
         kind, val, pos = self.peek()
         if val == "true":
@@ -685,7 +616,7 @@ class _FormulaParser:
             return FALSE
         if val == "(":
             self.next()
-            f = self.disj(env)
+            f = self.top(env)
             self.expect(")")
             return f
         if val in ("<", "["):
@@ -702,12 +633,12 @@ class _FormulaParser:
             self.expect(closer)
             body = self.unary(env)
             return FreeDia(TAU, body) if is_dia else FreeBox(TAU, body)
-        ch_ident = self.expect_name()
+        ch_ident = self.expect_ident()
         ch = self.resolve(ch_ident, env)
         kind, val, pos = self.peek()
         if val == "=":
             self.next()
-            other = self.resolve(self.expect_name(), env)
+            other = self.resolve(self.expect_ident(), env)
             self.expect(closer)
             body = self.unary(env)
             return MatchDia(ch, other, body) if is_dia else MatchBox(ch, other, body)
@@ -715,12 +646,12 @@ class _FormulaParser:
             self.next()
             if self.peek()[1] == "(":
                 self.next()
-                binder = self.expect_name()
+                binder = self.expect_ident()
                 self.expect(")")
                 self.expect(closer)
                 body = self.unary([binder] + env)
                 return OutDia(ch, body) if is_dia else OutBox(ch, body)
-            obj = self.resolve(self.expect_name(), env)
+            obj = self.resolve(self.expect_ident(), env)
             self.expect(closer)
             body = self.unary(env)
             act = FreeOut(ch, obj)
@@ -728,7 +659,7 @@ class _FormulaParser:
         if val == "?":
             self.next()
             self.expect("(")
-            binder = self.expect_name()
+            binder = self.expect_ident()
             self.expect(")")
             self.expect(closer)
             flavour = ""
@@ -745,29 +676,6 @@ class _FormulaParser:
             }
             return table[(flavour, is_dia)](ch, body)
         raise ParseError(pos, ("'='", "'!'", "'?'"), val)
-
-
-_FORMULA_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-z][a-zA-Z0-9_]*|[LE])|(?P<punct>[<>\[\]=!?()&.]))"
-)
-
-
-def _tokenize_formula(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(bad, ("a formula token",), text[bad])
-        if m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
-    return tokens
 
 
 def parse_formula(text: str) -> Formula:
@@ -792,21 +700,10 @@ def encode_formula(f: Formula, prefix: Prefix) -> Formula:
 
 _OR_LVL, _AND_LVL, _UNARY_F = 0, 1, 2
 
-_BINDER_POOL_F = ("y", "z", "u", "v", "w", "m", "n", "o", "p", "q", "r", "s")
-
 
 def pretty_formula(f: Formula, prefix: Prefix = Prefix(())) -> str:
     namer = _Namer(prefix)
-    name = namer.name
-
-    def fresh(binders: list) -> str:
-        for cand in _BINDER_POOL_F:
-            if cand not in namer.taken and cand not in binders:
-                return cand
-        i = 1
-        while f"b{i}" in binders:
-            i += 1
-        return f"b{i}"
+    name, fresh = namer.name, namer.binder
 
     def go(f: Formula, need: int, binders: list) -> str:
         match f:

@@ -166,14 +166,6 @@ class FreeOut:
 
 
 @dataclass(frozen=True, slots=True)
-class FreeIn:
-    # Representable for completeness of the action sort; the late transition
-    # system never emits it and the modal checker rejects formulas over it.
-    ch: Name
-    obj: Name
-
-
-@dataclass(frozen=True, slots=True)
 class BoundOut:
     ch: Name
 
@@ -183,7 +175,7 @@ class BoundIn:
     ch: Name
 
 
-Action = Tau | FreeOut | FreeIn | BoundOut | BoundIn
+Action = Tau | FreeOut | BoundOut | BoundIn
 
 TAU = Tau()
 
@@ -222,9 +214,9 @@ def map_names(term, f, depth: int = 0):
         case Bang(cont):
             c = map_names(cont, f, depth)
             return term if c is cont else Bang(c)
-        case FreeOut(ch, obj) | FreeIn(ch, obj):
+        case FreeOut(ch, obj):
             a, b = f(ch, depth), f(obj, depth)
-            return term if a is ch and b is obj else type(term)(a, b)
+            return term if a is ch and b is obj else FreeOut(a, b)
         case BoundOut(ch) | BoundIn(ch):
             a = f(ch, depth)
             return term if a is ch else type(term)(a)
@@ -253,7 +245,7 @@ def walk_names(term, f, depth: int = 0) -> None:
             case Sum(left, right) | Par(left, right):
                 walk_names(left, f, depth)
                 term = right
-            case FreeOut(a, b) | FreeIn(a, b):
+            case FreeOut(a, b):
                 f(a, depth)
                 f(b, depth)
                 return
@@ -582,17 +574,19 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, value, position) triples; kind is 'ident' or 'punct'."""
+def tokenize(text: str, token_re=_TOKEN_RE, what: str = "a token") -> list[tuple[str, str, int]]:
+    """Return (kind, value, position) triples; kind is 'ident' or 'punct'.
+    ``token_re`` has an ``ident`` and a ``punct`` group; a character it
+    cannot start a token at is reported as not being ``what``."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if not m:
             if text[pos:].strip() == "":
                 break
             bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(bad, ("a token",), text[bad])
+            raise ParseError(bad, (what,), text[bad])
         if m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:
@@ -604,14 +598,20 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 # --------------------------------------------------------------------------- parser
 
 
-class _Parser:
-    def __init__(self, text: str, defs: dict | None):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
-        self.defs = defs or {}
+class _TokenParser:
+    """Token helpers shared by the process and formula parsers.  A subclass
+    sets its token pattern, what a bad character is reported as, and the
+    reserved words that are not names, and implements ``top``."""
 
-    # token helpers
+    token_re = _TOKEN_RE
+    token_what = "a token"
+    reserved = KEYWORDS
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text, self.token_re, self.token_what)
+        self.i = 0
+
     def peek(self, ahead: int = 0):
         j = self.i + ahead
         return self.tokens[j] if j < len(self.tokens) else ("eof", "", len(self.text))
@@ -629,20 +629,31 @@ class _Parser:
 
     def expect_ident(self, what: str = "name"):
         kind, val, pos = self.peek()
-        if kind != "ident" or val in KEYWORDS:
+        if kind != "ident" or val in self.reserved:
             raise ParseError(pos, (what,), val)
         self.next()
         return val
 
-    # grammar: proc := sum ; sum := par ("+" par)* ; par := unary ("|" unary)*
-    def parse(self) -> Process:
-        p = self.proc([])
+    def resolve(self, ident: str, env: list) -> Name:
+        if ident in env:
+            return Bound(env.index(ident))
+        return Free(ident)
+
+    def parse(self):
+        out = self.top([])
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(pos, ("end of input",), val)
-        return p
+        return out
 
-    def proc(self, env: list) -> Process:
+
+class _Parser(_TokenParser):
+    def __init__(self, text: str, defs: dict | None):
+        super().__init__(text)
+        self.defs = defs or {}
+
+    # grammar: proc := sum ; sum := par ("+" par)* ; par := unary ("|" unary)*
+    def top(self, env: list) -> Process:
         parts = [self.par(env)]
         while self.peek()[1] == "+":
             self.next()
@@ -661,11 +672,6 @@ class _Parser:
         for part in reversed(parts[:-1]):
             out = Par(part, out)
         return out
-
-    def resolve(self, ident: str, env: list) -> Name:
-        if ident in env:
-            return Bound(env.index(ident))
-        return Free(ident)
 
     def unary(self, env: list) -> Process:
         kind, val, pos = self.peek()
@@ -687,7 +693,7 @@ class _Parser:
                 self.expect(")")
                 return Nu(self.unary([binder] + env))
             self.next()
-            inner = self.proc(env)
+            inner = self.top(env)
             self.expect(")")
             return inner
         if val == "[":
@@ -927,8 +933,6 @@ def pretty_action(a: Action, prefix: Prefix = Prefix(()), binder: str | None = N
             return "tau"
         case FreeOut(ch, obj):
             return f"{namer.name(ch, [])}!{namer.name(obj, [])}"
-        case FreeIn(ch, obj):
-            return f"{namer.name(ch, [])}?{namer.name(obj, [])}"
         case BoundOut(ch):
             return f"{namer.name(ch, [])}!({binder or 'w'})"
         case BoundIn(ch):

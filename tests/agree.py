@@ -88,12 +88,10 @@ def engine_ground(p_tuple, q_tuple, names: tuple[str, ...], mode: str) -> bool:
     return certified(fn(enc(p_tuple, prefix), enc(q_tuple, prefix), len(names))).bisimilar
 
 
-def engine_open(p_tuple, q_tuple, entries, clause_style="late"):
+def engine_open(p_tuple, q_tuple, entries):
     """entries: sequence of (quant, name) pairs.  Returns the BisimResult."""
     if entries:
         prefix = pb.parse_prefix(", ".join(f"{q} {n}" for q, n in entries))
     else:
         prefix = pb.Prefix(())
-    return certified(
-        pb.open_bisim(enc(p_tuple, prefix), enc(q_tuple, prefix), prefix, clause_style=clause_style)
-    )
+    return certified(pb.open_bisim(enc(p_tuple, prefix), enc(q_tuple, prefix), prefix))

@@ -183,6 +183,32 @@ def o_bound(p) -> frozenset:
     return frozenset(out)
 
 
+def o_in(p, z: str) -> frozenset:
+    """Free inputs of the name ``z``: set of (ch, continuation) with
+    ``p --ch z--> continuation``, by the input, sum, par, restriction and
+    match rules, without going through ``o_bound``'s abstractions."""
+    tag = p[0]
+    out: set = set()
+    if tag == "in":
+        out.add((p[1], subst(p[3], p[2], z)))
+    elif tag == "match":
+        if p[1] == p[2]:
+            out |= o_in(p[3], z)
+    elif tag == "sum":
+        out |= o_in(p[1], z) | o_in(p[2], z)
+    elif tag == "par":
+        out |= {(ch, ("par", q, p[2])) for ch, q in o_in(p[1], z)}
+        out |= {(ch, ("par", p[1], q)) for ch, q in o_in(p[2], z)}
+    elif tag == "nu":
+        v = _next()
+        out |= {(ch, ("nu", v, q)) for ch, q in o_in(subst(p[2], p[1], v), z) if ch != v}
+    elif tag in ("nil", "tau", "out"):
+        pass
+    else:
+        raise ValueError(f"oracle cannot handle {p!r}")
+    return frozenset(out)
+
+
 def free_names_of(p) -> frozenset[str]:
     from corpus import free_names_of as f
 
@@ -275,10 +301,14 @@ def _apply_sigma(p, sigma):
     return out
 
 
-def o_open_bisim(p, q, entries, extra_distinct=()) -> bool:
+def o_open_bisim(p, q, entries, extra_distinct=(), clause="late") -> bool:
     """Open bisimilarity by closure under distinction-respecting substitutions
     at every round.  ``entries`` is the quantifier prefix as (quant, name)
-    pairs; the induced distinction is added to ``extra_distinct``."""
+    pairs; the induced distinction is added to ``extra_distinct``.  An input
+    receives a fresh generic name; with ``clause="late"`` the defender picks
+    an input abstraction before it is instantiated, with ``clause="early"``
+    it answers each free input of that name (``o_in``) after it."""
+    assert clause in ("late", "early")
     names = tuple(n for _, n in entries)
     flex = frozenset(n for quant, n in entries if quant == "forall")
     d = set(map(tuple, extra_distinct))
@@ -324,9 +354,9 @@ def o_open_bisim(p, q, entries, extra_distinct=()) -> bool:
             if not any(a == a2 and rec(p2, q2, names, flex, d) for a2, q2 in qf):
                 return False
         qb = o_bound(q)
+        z = fresh_for(names)
         for kind, ch, ab in o_bound(p):
             defenders = [ab2 for kind2, ch2, ab2 in qb if kind2 == kind and ch2 == ch]
-            z = fresh_for(names)
             if kind == "bout":
                 fns = free_names_of(p) | free_names_of(q) | {n for pr in d for n in pr}
                 d2 = set(d) | {(z, n) for n in fns}
@@ -335,10 +365,17 @@ def o_open_bisim(p, q, entries, extra_distinct=()) -> bool:
                     for ab2 in defenders
                 ):
                     return False
-            else:
+            elif clause == "late":
                 if not any(
                     rec(inst(ab, z), inst(ab2, z), names + (z,), flex | {z}, d)
                     for ab2 in defenders
+                ):
+                    return False
+        if clause == "early":
+            qi = o_in(q, z)
+            for ch, p2 in o_in(p, z):
+                if not any(
+                    ch2 == ch and rec(p2, q2, names + (z,), flex | {z}, d) for ch2, q2 in qi
                 ):
                     return False
         return True

@@ -14,7 +14,6 @@ from pibisim.modal import (
     TRUE,
     And,
     FreeBox,
-    FreeDia,
     InBoxL,
     InDia,
     InDiaE,
@@ -122,12 +121,6 @@ class TestSatGround:
         assert not pb.sat_ground(a, dia_e, 1)  # fresh name defeats both conts
         b = enc("x?(u).[u=a]tau.0 + x?(v).[v=a]0", prefix)
         assert pb.sat_ground(b, fml("<x?(u)>[u=a]true", prefix), 1)
-
-    def test_free_input_modality_rejected(self):
-        p = enc("a?(x).0", PFX_A)
-        bad = FreeDia(pb.FreeIn(Nabla(1), Nabla(1)), TRUE)
-        with pytest.raises(pb.FreeInputModality):
-            pb.sat_ground(p, bad, 0)
 
     def test_budget_monotonicity_spot(self):
         p = enc("a?(x).0", PFX_A)

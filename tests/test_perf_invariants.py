@@ -58,40 +58,50 @@ FORALL3 = "forall x0, forall x1, forall y"
 NABLA3 = "nabla x0, nabla x1, nabla y"
 
 
-def _counts(mode, prefix_text, partner):
+def _counts(mode, prefix_text, partner, monkeypatch):
+    """Verdict, goals, branches, certificate size and ``_Game.check`` calls."""
+    calls = []
+    real = bisim_mod._Game.check
+
+    def counted(self, goal):
+        calls.append(goal)
+        return real(self, goal)
+
+    monkeypatch.setattr(bisim_mod._Game, "check", counted)
     prefix = pb.parse_prefix(prefix_text)
     p, q = enc(COMM_PAIRS, prefix), enc(partner, prefix)
     if mode == "open":
         res = pb.open_bisim(p, q, prefix)
     else:
-        res = pb.late_bisim(p, q, prefix.nabla_count)
-    return res.bisimilar, res.stats.goals, res.stats.branches, len(res.certificate)
+        res = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q, prefix.nabla_count)
+    return res.bisimilar, res.stats.goals, res.stats.branches, len(res.certificate), len(calls)
 
 
 @pytest.mark.parametrize(
     "mode, prefix_text, expected",
     [
-        ("open", FORALL3, (True, 1, 0, 1)),
-        ("open", NABLA3, (True, 1, 0, 1)),
-        ("late", NABLA3, (True, 1, 0, 1)),
+        ("open", FORALL3, (True, 1, 0, 1, 1)),
+        ("open", NABLA3, (True, 1, 0, 1, 1)),
+        ("late", NABLA3, (True, 1, 0, 1, 1)),
     ],
 )
-def test_communicating_pairs_counts(mode, prefix_text, expected):
+def test_communicating_pairs_counts(monkeypatch, mode, prefix_text, expected):
     # the swapped order is congruent: the root is discharged unexplored
-    assert _counts(mode, prefix_text, COMM_PAIRS_SWAPPED) == expected
+    assert _counts(mode, prefix_text, COMM_PAIRS_SWAPPED, monkeypatch) == expected
 
 
 @pytest.mark.parametrize(
     "mode, prefix_text, expected",
     [
-        ("open", FORALL3, (True, 7, 15, 1)),
-        ("open", NABLA3, (True, 8, 13, 1)),
-        ("late", NABLA3, (True, 14, 13, 1)),
+        ("open", FORALL3, (True, 7, 15, 1, 17)),
+        ("open", NABLA3, (True, 8, 13, 1, 15)),
+        ("late", NABLA3, (True, 14, 13, 1, 27)),
+        ("early", NABLA3, (True, 14, 13, 1, 27)),
     ],
 )
-def test_communicating_pairs_expansion_counts(mode, prefix_text, expected):
+def test_communicating_pairs_expansion_counts(monkeypatch, mode, prefix_text, expected):
     # every answer to an attack on the expansion is congruent to its attacker
-    assert _counts(mode, prefix_text, COMM_PAIRS_EXPANSION) == expected
+    assert _counts(mode, prefix_text, COMM_PAIRS_EXPANSION, monkeypatch) == expected
 
 
 # ------------------------------------------- parallel operands computed once
@@ -281,7 +291,8 @@ def test_formula_is_folded_from_the_witness(monkeypatch, mode, prefix_text, left
     def forbidden(*_args):
         raise AssertionError("formula synthesis rescanned an attack")
 
-    for name in ("_defended", "_late_failing_input", "_early_failing_input"):
+    # _fail_node holds the ground modes' searches for a refuting name
+    for name in ("_defended", "_fail_node"):
         monkeypatch.setattr(bisim_mod._Game, name, forbidden)
     assert pb.distinguishing_formula(res) == expected
 
