@@ -44,14 +44,17 @@ a DAG with one node object per refuted goal, shared wherever a goal repeats.
 ``verify_witness`` replays it structurally, move by move, in a fresh game that
 only enumerates moves and never decides a goal, and replays each node once.
 The distinguishing formula is folded from the same nodes, one modality per
-node, and machine-checked against both processes before it is returned; that
-check reads successors from the game's own table.
+node, with no search: a diamond where the left side attacks, a box where the
+right one does.  An open box also meets the left side's moves that answer the
+attack only under a unifier, and the clause lists these conditional answers,
+one ``<x=y>true`` guard each.  The formula is machine-checked against both
+processes before it is returned; that check reads successors from the game's
+own table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from . import modal as M
 from .lts import Transition, infer_depth, tabled_successors
@@ -78,6 +81,7 @@ from .unify import (
     EMPTY_DISTINCTION,
     InternalError,
     Subst,
+    compose,
     respects,
 )
 
@@ -89,6 +93,11 @@ class ReplicationUnsupported(Exception):
 
 class WitnessMalformed(Exception):
     pass
+
+
+class NoSeparator(Exception):
+    def __init__(self):
+        super().__init__("no distinguishing formula by construction in the open sublogic")
 
 
 class DepthBudgetExceeded(Exception):
@@ -191,7 +200,8 @@ class _Clause:
     its child goals (``None`` for a move that opens nothing); ``shape`` orders
     the quantifiers over names and ``defenders``; ``modalities`` is the
     diamond/box pair a formula of the move folds with.  Child goals are built
-    on demand, one per defender and name."""
+    on demand, one per defender and name, and so are the conditional answers
+    among the defending side's candidate ``moves``, which only formulas read."""
 
     side: str
     attack: Transition
@@ -200,6 +210,19 @@ class _Clause:
     names: tuple[tuple[Name | None, int, int], ...]
     shape: str
     modalities: tuple[type, type]
+    moves: list[Transition]
+
+    def conditional(self) -> list[tuple[Name, Name]]:
+        """The candidate moves that answer the attack only under a unifier
+        sigma != id, found as an open box finds them (the unifier of the
+        actions composed with the move's own), each given by the first
+        binding of its sigma, without repeats."""
+        act, out = self.attack.action, {}
+        for u in self.moves:
+            rho = M.unify_actions(u.theta(act), u.action)
+            if rho is not None and (sigma := compose(rho, u.theta)).bindings:
+                out[sigma.bindings[0]] = None
+        return list(out)
 
     def child(self, d: Transition, name: tuple[Name | None, int, int]) -> Goal:
         w, depth, next_eigen = name
@@ -253,7 +276,7 @@ class _Game:
             else:
                 shape, mods = _EARLY, (M.InDiaE, M.InBoxE)
         defenders = [u for u in ts if u.theta.is_identity() and u.action == act]
-        return _Clause(side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods)
+        return _Clause(side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods, ts)
 
     def _normal_form(self, p: Process) -> Process:
         hit = self.nf.get(p)
@@ -305,27 +328,19 @@ class _Game:
 
     # ------------------------------------------------------ witness extraction
 
-    def _winning_attacks(self, goal: Goal, side: str = "left", start: int = 0):
-        """The attacks from ``goal`` that the defender cannot answer, left side
-        first, beginning at attack ``start`` of ``side``."""
-        for s in ("left", "right") if side == "left" else ("right",):
-            ats = self.attacks(goal.left if s == "left" else goal.right, goal.depth)
-            for idx in range(start if s == side else 0, len(ats)):
-                t = ats[idx]
-                if respects(t.theta, goal.distinct) and not self._defended(goal, s, t):
-                    yield s, idx, t
-
     def explain(self, goal: Goal) -> FailNode:
-        """The first winning attack from a refuted goal, one node object per
-        goal, so a witness shares the node of every goal that repeats."""
+        """The first winning attack from a refuted goal, left side first, one
+        node object per goal, so a witness shares the node of every goal that
+        repeats."""
         node = self.wmemo.get(goal)
-        if node is None:
-            for side, idx, t in self._winning_attacks(goal):
-                node = self.wmemo[goal] = self._fail_node(goal, side, idx, t)
-                break
-            else:
-                raise InternalError("refuted goal has no winning attack")
-        return node
+        if node is not None:
+            return node
+        for side, p in (("left", goal.left), ("right", goal.right)):
+            for idx, t in enumerate(self.attacks(p, goal.depth)):
+                if respects(t.theta, goal.distinct) and not self._defended(goal, side, t):
+                    node = self.wmemo[goal] = self._fail_node(goal, side, idx, t)
+                    return node
+        raise InternalError("refuted goal has no winning attack")
 
     def _fail_node(self, goal: Goal, side: str, idx: int, t: Transition) -> FailNode:
         """The witness node of a winning attack: each defender answer with
@@ -384,38 +399,30 @@ class _Game:
     # ------------------------------------------------- distinguishing formulas
 
     def build_left(self, goal: Goal) -> M.Formula | None:
-        """A formula true of goal.left and false of goal.right, or None if the
-        goal is bisimilar (or, in open mode, if the search is exhausted)."""
-        if goal in self.fmemo:
-            return self.fmemo[goal]
-        if self.check(goal):
-            self.fmemo[goal] = None
-            return None
-        res = self._build_left(goal)
-        self.fmemo[goal] = res
-        return res
+        """The formula folded from the witness of a refuted goal, meant to be
+        true of goal.left and false of goal.right, or None if the goal is
+        bisimilar."""
+        if goal not in self.fmemo:
+            self.fmemo[goal] = None if self.check(goal) else self._compose(self.explain(goal))
+        return self.fmemo[goal]
 
-    def _build_left(self, goal: Goal) -> M.Formula | None:
-        """Fold a formula from the goal's witness node.  Only in open mode can
-        that fail; then each later winning attack is tried, then the search."""
-        node = self.explain(goal)
-        later = self._winning_attacks(goal, node.side, node.attacker_index + 1)
-        for n in chain((node,), (self._fail_node(goal, *a) for a in later)):
-            f = self._compose(n)
-            if f is not None:
-                return f
-        if self.mode == "open":
-            return self._enumerate_separator(goal)
-        raise InternalError("formula composition failed in a ground mode")
-
-    def _compose(self, node: FailNode) -> M.Formula | None:
+    def _compose(self, node: FailNode) -> M.Formula:
         """The formula of a winning attack, read off its witness node and the
         attack's clause: guards, then the clause's diamond over the
         conjunction of the replies' formulas when the left process attacks,
         its box over their disjunction when the right one does.  A received
         name is guarded per reply when the defender answers first (late),
-        and once for the body when the name is chosen first (early).  In open
-        mode a box is only kept if satisfaction checking confirms it."""
+        and once for the body when the name is chosen first (early).
+
+        In open mode the box's disjunction also holds one guard ``<x=y>true``
+        per conditional answer, a move of the left side that the box meets
+        because its action unifies with the attack's only under some sigma !=
+        id, where ``x:=y`` is sigma's first binding.  The guard is true on the
+        left: the box reads its body in sigma's world, where ``x`` and ``y``
+        coincide.  It is false on the right: the attack's own move is met in
+        the attack's world, where ``x`` and ``y`` are distinct names, and no
+        received name can make them equal.  So one binding is enough, and
+        every move the box meets on the left has a disjunct that holds."""
         goal, left, act = node.goal, node.side == "left", node.action
         t = self.attacks(goal.left if left else goal.right, goal.depth)[node.attacker_index]
         c = self._clause(goal, node.side, t)
@@ -423,19 +430,16 @@ class _Game:
         subs = []
         for r in node.replies:
             h = self.build_left(r.child.goal)
-            if h is None:
-                return None
             subs.append(recv_guard(_RECV, r.instantiation, h) if c.shape == _LATE else h)
+        if not left and self.mode == "open":
+            subs += [M.MatchDia(x, y, M.TRUE) for x, y in c.conditional()]
         body = _conj(subs) if left else _disj(subs)
         if c.shape == _EARLY:
             body = recv_guard(_RECV, node.instantiation, body)
         w = node.instantiation if c.shape == _ONE else _RECV
         modality = c.modalities[0 if left else 1]
         core = modality(act, body) if w is None else modality(act.ch, M.close_formula(body, w))
-        f = _guard(node.theta, core)
-        if self.mode == "open" and not left and not self._holds_left_only(goal, f):
-            return None
-        return f
+        return _guard(node.theta, core)
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
         """Machine-check ``f`` on both sides, reading successors from this
@@ -452,6 +456,8 @@ class _Game:
     _ENUM_CAP = 50_000
 
     def _enumerate_separator(self, goal: Goal) -> M.Formula | None:
+        """A search over LM formulas of depth <= 3 that no engine path calls;
+        bench/layers.py still wraps it, and modal.enumerate_lm, by name."""
         names: list[Name] = [Nabla(l) for l in range(1, goal.depth + 1)]
         seen: set[int] = set()
 
@@ -574,22 +580,24 @@ def early_bisim(
 
 def distinguishing_formula(result: BisimResult) -> tuple[M.Formula, str]:
     """A formula holding on exactly one side of a refuted root, paired with
-    the side (``"left"``/``"right"``) it holds on.  Raises WitnessMalformed on
-    bisimilar results and InternalError if no checkable separator is found."""
+    the side (``"left"``/``"right"``) it holds on.  The formula is folded from
+    the witness (``_Game._compose``) and checked on both processes.  In open
+    mode a late-input box reads its received name over the names in scope, so
+    the box of an input attack by the right side may also hold on the right;
+    then the formula folded for the mirrored root, where that attack is a
+    diamond, is checked instead.  Raises WitnessMalformed on bisimilar
+    results, NoSeparator if in open mode neither check passes, and
+    InternalError if a ground-mode formula fails its check."""
     if result.bisimilar:
         raise WitnessMalformed("bisimilar results carry no distinguishing formula")
     game = result.game
-    f = game.build_left(result.root)
-    side = "left"
-    if f is None:
-        f = game.build_left(result.root.mirrored())
-        side = "right"
-    if f is None:
-        raise InternalError("distinguishing-formula search exhausted")
-    holder = result.root if side == "left" else result.root.mirrored()
-    if not game._holds_left_only(holder, f):
-        raise InternalError("constructed formula failed verification")
-    return f, side
+    for side, goal in (("left", result.root), ("right", result.root.mirrored())):
+        f = game.build_left(goal)
+        if game._holds_left_only(goal, f):
+            return f, side
+        if game.mode != "open":
+            raise InternalError("constructed formula failed verification")
+    raise NoSeparator()
 
 
 def verify_witness(result: BisimResult) -> bool:

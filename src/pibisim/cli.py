@@ -255,13 +255,11 @@ def _goal_json(goal: B.Goal, prefix: S.Prefix) -> dict:
 
 
 def _witness_json(res: B.BisimResult, prefix: S.Prefix):
-    formula_text = None
-    side = None
     try:
         f, side = B.distinguishing_formula(res)
         formula_text = M.pretty_formula(f, prefix)
-    except U.InternalError:
-        side = None
+    except B.NoSeparator:
+        formula_text = side = None
     binder = _display_binder(prefix)
     trace = []
     for node, reply in B.witness_mainline(res.witness):
@@ -313,7 +311,7 @@ def _cmd_bisim(args) -> int:
                 f" of {step['defender_count']}"
             )
         human.append(line)
-    human.append(f"formula: {wit['formula'] if wit['formula'] else '(none found)'}")
+    human.append(f"formula: {wit['formula'] or '(none by construction in the open sublogic)'}")
     if wit["formula_holds"]:
         human.append(f"holds on: {wit['formula_holds']}")
     _emit(args, _payload("bisim", False, witness=wit, stats=stats), human)

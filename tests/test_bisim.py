@@ -229,6 +229,86 @@ class TestDistinguishingFormula:
         self.verified(res)
 
 
+# Open refutations whose separator rests on a conditional answer: the right
+# side attacks, and the left side has a move that answers only under a
+# unifier sigma != id, so the box gains the guard <x=y>true.  The first three
+# are bench/workloads.py's FALLBACK_PAIRS (the third with a distinction); then
+# an input and a bound output answered on another channel, and a free output
+# answered on another channel, all under identity-theta moves.
+# name: (prefix, distinction, left, right, formula, side)
+SEPARATORS = {
+    "match-forall": ("forall a, forall b, forall c", "", "[c=b]tau.0", "tau.0",
+                     "[tau]<b=c>true", "left"),
+    "match-nabla": ("nabla a, forall b, forall c", "", "[c=a]tau.0", "[c=c]tau.0",
+                    "[tau]<c=a>true", "left"),
+    "match-distinct": ("forall a, forall b, forall c", "a#b", "[b=a](tau.0 + 0)",
+                       "[b=b](tau.0 + 0)", "[tau]<a=b>true", "left"),
+    "input-channel": ("forall e1, forall e2", "", "e2?(y).tau.0", "e2?(y).tau.0 + e1?(y).0",
+                      "[e1?(y)]L <e1=e2>true", "left"),
+    "bound-output-channel": ("forall e1, forall e2", "", "(nu z)e2!z.0",
+                             "(nu z)e2!z.0 + (nu z)e1!z.0", "[e1!(y)]<e1=e2>true", "left"),
+    "free-output-channel": ("forall e1, forall e2", "", "e2!e1.0", "e2!e1.0 + e1!e1.0",
+                            "[e1!e1]<e1=e2>true", "left"),
+    # The right side's input attack folds to a late-input box, which reads its
+    # received name over the names in scope and so holds on the right too
+    # (at y = a); the mirrored root folds the same attack to a diamond.
+    "mirrored-input": ("forall a", "", "a?(y).tau.0", "a?(y).tau.0 + a?(y).[y=a]tau.0",
+                       "<a?(y)>L [tau]<a=y>true", "right"),
+}
+
+
+def _open_refutation(prefix_text, distinct_text, left, right):
+    p, q, prefix = pair(left, right, prefix_text)
+    names = prefix.name_map()
+    pairs = [tuple(names[n] for n in d.split("#")) for d in distinct_text.split(",") if d]
+    res = pb.open_bisim(p, q, prefix, pb.Distinction.of(*pairs))
+    assert not res.bisimilar
+    return res, p, q, prefix
+
+
+class TestOpenSeparators:
+    @pytest.mark.parametrize("name", SEPARATORS)
+    def test_separator_by_construction(self, name, monkeypatch):
+        import modal_reference as ref
+
+        prefix_text, distinct, left, right, expected, expected_side = SEPARATORS[name]
+
+        def no_search(self, goal):
+            raise AssertionError("separator search reached")
+
+        monkeypatch.setattr(pb.bisim._Game, "_enumerate_separator", no_search)
+        res, p, q, prefix = _open_refutation(prefix_text, distinct, left, right)
+        formula, side = pb.distinguishing_formula(res)
+        assert (pb.pretty_formula(formula, prefix), side) == (expected, expected_side)
+        holder, other = (p, q) if side == "left" else (q, p)
+        assert pb.sat_open(holder, formula, prefix)
+        assert not pb.sat_open(other, formula, prefix)
+        depth, ne = prefix.nabla_count, prefix.eigen_count + 1
+        assert ref.sat_open_at(holder, formula, depth, ne)
+        assert not ref.sat_open_at(other, formula, depth, ne)
+
+    def test_conditional_answers_are_not_read_when_deciding(self, monkeypatch):
+        def unread(self):
+            raise AssertionError("conditional answers read")
+
+        monkeypatch.setattr(pb.bisim._Clause, "conditional", unread)
+        for prefix_text, distinct, left, right, _f, _s in SEPARATORS.values():
+            res, *_ = _open_refutation(prefix_text, distinct, left, right)
+            assert pb.verify_witness(res)
+
+    def test_no_separator_by_construction(self):
+        # Both constructions fold a right-side late-input box whose body a
+        # name in scope makes true on the attacker, so neither checks; the
+        # depth-3 search of earlier versions found no separator either.
+        inner = "(a?(v).[w=a]tau.0 + a?(v).[v=a]tau.0)"
+        res, *_ = _open_refutation(
+            "forall a", "", f"a?(w).{inner}", f"a?(w).{inner} + a?(w).a?(v).[w=a]tau.0"
+        )
+        assert pb.verify_witness(res)
+        with pytest.raises(pb.NoSeparator):
+            pb.distinguishing_formula(res)
+
+
 def _edit(node, path, **changes):
     """``node`` with the witness node reached through the reply indices in
     ``path`` rebuilt by ``dataclasses.replace(..., **changes)``."""

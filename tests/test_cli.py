@@ -165,6 +165,26 @@ class TestExitCodes:
         assert out == ""
         assert err.strip() == "internal error: invariant violated"
 
+    def test_formula_audit_failure_is_3(self, capsys, monkeypatch):
+        import pibisim.bisim
+
+        monkeypatch.setattr(pibisim.bisim._Game, "_holds_left_only", lambda *a: False)
+        code, out, err = run(capsys, "bisim", "--mode", "late", "tau.0", "0")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "internal error: constructed formula failed verification"
+        assert "Traceback" not in err
+
+    def test_no_separator_by_construction_is_reported(self, capsys):
+        inner = "(a?(v).[w=a]tau.0 + a?(v).[v=a]tau.0)"
+        left, right = f"a?(w).{inner}", f"a?(w).{inner} + a?(w).a?(v).[w=a]tau.0"
+        code, out, err = run(capsys, "bisim", "--prefix", "forall a", left, right)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "not bisimilar"
+        assert lines[-1] == "formula: (none by construction in the open sublogic)"
+
 
 class TestJson:
     def test_bisim_json_schema(self, capsys):
