@@ -69,11 +69,14 @@ from .syntax import (
     Prefix,
     Process,
     Tau,
+    _name_key,
+    close_abs,
     contains_bang,
     map_names,
     max_eigen_id,
     normal_form,
     open_abs,
+    right_nest,
     walk_names,
 )
 from .unify import (
@@ -148,11 +151,7 @@ class FailNode:
 
 
 def _pair_key(pair):
-    def k(n: Name):
-        return (0, n.level, 0) if isinstance(n, Nabla) else (1, n.id, n.ceiling)
-
-    a, b = pair
-    return (k(a), k(b))
+    return (_name_key(pair[0]), _name_key(pair[1]))
 
 
 def canonical_key(goal: Goal):
@@ -181,7 +180,7 @@ def canonical_key(goal: Goal):
         return ren[n.id] if isinstance(n, Eigen) else n
 
     pairs = frozenset(
-        tuple(sorted(((sub(a, 0), sub(b, 0))), key=lambda n: _pair_key((n, n))))
+        tuple(sorted((sub(a, 0), sub(b, 0)), key=_name_key))
         for a, b in goal.distinct.pairs
     )
     return (goal.depth, map_names(goal.left, sub), map_names(goal.right, sub), pairs)
@@ -433,12 +432,12 @@ class _Game:
             subs.append(recv_guard(_RECV, r.instantiation, h) if c.shape == _LATE else h)
         if not left and self.mode == "open":
             subs += [M.MatchDia(x, y, M.TRUE) for x, y in c.conditional()]
-        body = _conj(subs) if left else _disj(subs)
+        body = right_nest(M.And, subs, M.TRUE) if left else right_nest(M.Or, subs, M.FALSE)
         if c.shape == _EARLY:
             body = recv_guard(_RECV, node.instantiation, body)
         w = node.instantiation if c.shape == _ONE else _RECV
         modality = c.modalities[0 if left else 1]
-        core = modality(act, body) if w is None else modality(act.ch, M.close_formula(body, w))
+        core = modality(act, body) if w is None else modality(act.ch, close_abs(body, w))
         return _guard(node.theta, core)
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
@@ -479,24 +478,6 @@ class _Game:
 
 
 _RECV = Free("\0recv")  # stands for the received name until the formula closes over it
-
-
-def _conj(fs: list[M.Formula]) -> M.Formula:
-    if not fs:
-        return M.TRUE
-    out = fs[-1]
-    for f in reversed(fs[:-1]):
-        out = M.And(f, out)
-    return out
-
-
-def _disj(fs: list[M.Formula]) -> M.Formula:
-    if not fs:
-        return M.FALSE
-    out = fs[-1]
-    for f in reversed(fs[:-1]):
-        out = M.Or(f, out)
-    return out
 
 
 def _guard(theta: Subst, f: M.Formula) -> M.Formula:

@@ -15,34 +15,58 @@ opened at the binders crossed so far: ``Bound(i)`` reads as ``env[i]``, so a
 bound modality opens its body by extending the environment, not by
 rebuilding the body.  Where open mode instantiates by a substitution, it
 maps the environment's names through it along with the body.
+
+The formula constructors, their name walk and binder operations are
+``syntax``'s; the constructors are re-exported here.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     Action,
+    And,
     Bound,
     BoundIn,
     BoundOut,
     Eigen,
+    FALSE,
+    FalseF,
+    Formula,
     Free,
+    FreeBox,
+    FreeDia,
     FreeOut,
+    InBox,
+    InBoxE,
+    InBoxL,
+    InDia,
+    InDiaE,
+    InDiaL,
+    MatchBox,
+    MatchDia,
     Nabla,
     Name,
+    Or,
+    OutBox,
+    OutDia,
     Prefix,
     Process,
     TAU,
+    TRUE,
     Tau,
+    TrueF,
+    close_abs,
+    encode,
     free_names,
     map_names,
     open_abs,
+    right_nest,
     walk_names,
     ParseError,
-    UnboundName,
     KEYWORDS,
+    _IN_NODES,
     _Namer,
     _TokenParser,
 )
@@ -58,193 +82,7 @@ class FormulaOutsideLM(Exception):
         )
 
 
-# ------------------------------------------------------------------------- formulas
-
-
-@dataclass(frozen=True)
-class TrueF:
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF:
-    pass
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class MatchDia:
-    left: Name
-    right: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class MatchBox:
-    left: Name
-    right: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class FreeDia:
-    action: Action  # Tau or FreeOut
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class FreeBox:
-    action: Action
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class OutDia:
-    ch: Name
-    body: "Formula"  # one binder deep
-
-
-@dataclass(frozen=True)
-class OutBox:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InDia:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InBox:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InDiaL:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InBoxL:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InDiaE:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InBoxE:
-    ch: Name
-    body: "Formula"
-
-
-Formula = (
-    TrueF
-    | FalseF
-    | And
-    | Or
-    | MatchDia
-    | MatchBox
-    | FreeDia
-    | FreeBox
-    | OutDia
-    | OutBox
-    | InDia
-    | InBox
-    | InDiaL
-    | InBoxL
-    | InDiaE
-    | InBoxE
-)
-
-TRUE = TrueF()
-FALSE = FalseF()
-
-_IN_NODES = (InDia, InBox, InDiaL, InBoxL, InDiaE, InBoxE)
-_ABS_NODES = (OutDia, OutBox) + _IN_NODES
-
-
-def map_formula_names(f: Formula, fn, depth: int = 0) -> Formula:
-    match f:
-        case TrueF() | FalseF():
-            return f
-        case And(l, r):
-            return And(map_formula_names(l, fn, depth), map_formula_names(r, fn, depth))
-        case Or(l, r):
-            return Or(map_formula_names(l, fn, depth), map_formula_names(r, fn, depth))
-        case MatchDia(a, b, body):
-            return MatchDia(fn(a, depth), fn(b, depth), map_formula_names(body, fn, depth))
-        case MatchBox(a, b, body):
-            return MatchBox(fn(a, depth), fn(b, depth), map_formula_names(body, fn, depth))
-        case FreeDia(act, body):
-            return FreeDia(map_names(act, fn, depth), map_formula_names(body, fn, depth))
-        case FreeBox(act, body):
-            return FreeBox(map_names(act, fn, depth), map_formula_names(body, fn, depth))
-        case _ if isinstance(f, _ABS_NODES):
-            return type(f)(fn(f.ch, depth), map_formula_names(f.body, fn, depth + 1))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def close_formula(f: Formula, name: Name) -> Formula:
-    def fn(n, d):
-        match n:
-            case Bound(i) if i >= d:
-                return Bound(i + 1)
-            case _ if n == name:
-                return Bound(d)
-            case _:
-                return n
-
-    return map_formula_names(f, fn)
-
-
-def apply_subst_formula(theta: Subst, f: Formula) -> Formula:
-    if theta.is_identity():
-        return f
-    return map_formula_names(f, lambda n, _d: theta.name(n))
-
-
-def walk_formula_names(f: Formula, fn, depth: int = 0) -> None:
-    """Call ``fn(name, depth)`` on every name occurrence of ``f`` in
-    ``map_formula_names`` order, building nothing."""
-    while True:
-        match f:
-            case TrueF() | FalseF():
-                return
-            case And(l, r) | Or(l, r):
-                walk_formula_names(l, fn, depth)
-                f = r
-            case MatchDia(a, b, body) | MatchBox(a, b, body):
-                fn(a, depth)
-                fn(b, depth)
-                f = body
-            case FreeDia(act, body) | FreeBox(act, body):
-                walk_names(act, fn, depth)
-                f = body
-            case _ if isinstance(f, _ABS_NODES):
-                fn(f.ch, depth)
-                f, depth = f.body, depth + 1
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
+# ------------------------------------------------------------------ formula names
 
 
 def formula_names(f: Formula, env: tuple = (), depth: int = 0) -> frozenset:
@@ -252,7 +90,7 @@ def formula_names(f: Formula, env: tuple = (), depth: int = 0) -> frozenset:
     under ``depth`` binders not yet opened and, outside them, under the
     binders whose opened names are ``env`` (see ``_name_at``)."""
     acc: set = set()
-    walk_formula_names(f, lambda n, d: acc.add(_name_at(n, env, d)), depth)
+    walk_names(f, lambda n, d: acc.add(_name_at(n, env, d)), depth)
     return frozenset(n for n in acc if isinstance(n, (Nabla, Eigen)))
 
 
@@ -350,7 +188,7 @@ def sat_ground(
     for ``lts.tabled_successors``, such as a bisimulation game's; by default
     the check starts its own, so it asks ``lts`` once per term."""
     if depth is None:
-        levels = [n.level for n in free_names(p) | formula_names(a) if isinstance(n, Nabla)]
+        levels = [n.level for n in free_names(p) | free_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
     budget = fresh_budget(a) if extra_names is None else extra_names
     return _sat(p, a, depth, budget, {} if table is None else table, ())
@@ -486,7 +324,7 @@ def sat_open_at(
             rho = unify_names(_name_at(x, env), _name_at(y, env))
             if rho is None:
                 return True  # the hypothesis x=y can never hold
-            body, env = apply_subst_formula(rho, body), _subst_env(rho, env)
+            body, env = rho(body), _subst_env(rho, env)
             return sat_open_at(rho(p), body, depth, next_eigen, table, env)
         case FreeDia(act, body):
             act = _action_at(act, env)
@@ -498,13 +336,13 @@ def sat_open_at(
         case FreeBox(act, body):
             act = _action_at(act, env)
             for t in tabled_successors(p, depth, table)[0]:
-                rho = unify_actions(_apply_action(t.theta, act), t.action)
+                rho = unify_actions(t.theta(act), t.action)
                 if rho is None:
                     continue
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
                     rho(t.cont),
-                    apply_subst_formula(sigma, body),
+                    sigma(body),
                     depth,
                     next_eigen,
                     table,
@@ -530,7 +368,7 @@ def sat_open_at(
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
                     open_abs(rho(t.cont), w),
-                    apply_subst_formula(sigma, body),
+                    sigma(body),
                     depth + 1,
                     next_eigen,
                     table,
@@ -555,7 +393,7 @@ def sat_open_at(
                     continue
                 sigma = compose(rho, t.theta)
                 cont = rho(t.cont)
-                body_i, env_i = apply_subst_formula(sigma, body), _subst_env(sigma, env)
+                body_i, env_i = sigma(body), _subst_env(sigma, env)
                 scope = [Nabla(l) for l in range(1, depth + 1)]
                 names = free_names(cont) | formula_names(body_i, env_i, 1) | free_names(sigma(p))
                 scope += sorted({n for n in names if isinstance(n, Eigen)}, key=lambda e: e.id)
@@ -566,12 +404,6 @@ def sat_open_at(
                     return False
             return True
     raise FormulaOutsideLM(type(a).__name__)
-
-
-def _apply_action(theta: Subst, act: Action) -> Action:
-    if theta.is_identity():
-        return act
-    return map_names(act, lambda n, _d: theta.name(n))
 
 
 # ------------------------------------------------------------------ surface syntax
@@ -591,20 +423,14 @@ class _FormulaParser(_TokenParser):
         while self.peek()[1] == "v":
             self.next()
             parts.append(self.conj(env))
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Or(part, out)
-        return out
+        return right_nest(Or, parts)
 
     def conj(self, env) -> Formula:
         parts = [self.unary(env)]
         while self.peek()[1] == "&":
             self.next()
             parts.append(self.unary(env))
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = And(part, out)
-        return out
+        return right_nest(And, parts)
 
     def unary(self, env) -> Formula:
         kind, val, pos = self.peek()
@@ -684,16 +510,7 @@ def parse_formula(text: str) -> Formula:
 
 
 def encode_formula(f: Formula, prefix: Prefix) -> Formula:
-    mapping = prefix.name_map()
-
-    def fn(n, _d):
-        if isinstance(n, Free):
-            if n.ident not in mapping:
-                raise UnboundName(n.ident)
-            return mapping[n.ident]
-        return n
-
-    return map_formula_names(f, fn)
+    return encode(f, prefix)
 
 
 # ------------------------------------------------------------------------- pretty
@@ -795,7 +612,7 @@ def enumerate_lm(names: list[Name], max_depth: int):
         marker = Free("\0abs")
         inner_scope = scope + (marker,)
         for body in layer(depth - 1, inner_scope):
-            closed = close_formula(body, marker)
+            closed = close_abs(body, marker)
             for ch in scope:
                 yield OutDia(ch, closed)
                 yield OutBox(ch, closed)

@@ -1,11 +1,15 @@
 """Process syntax: surface grammar, the binder-free internal representation, and
-the translation between them.
+the translation between them; and the constructors of modal formulas.
 
 Internally binders are de Bruijn indices (index 0 is the innermost binder), so
 alpha-equivalence is plain structural equality.  Free names come in two kinds:
 scoped constants with a level (``Nabla``) and instantiable variables with a
 level ceiling (``Eigen``).  The parser leaves free names as ``Free``
 placeholders which ``encode`` resolves against a quantifier prefix.
+
+Processes, actions and formulas bind names alike and share one name walk
+(``map_names``, ``walk_names``), so ``open_abs``, ``close_abs``,
+``free_names``, ``encode`` and ``unify.Subst`` serve all three.
 """
 
 from __future__ import annotations
@@ -179,14 +183,138 @@ Action = Tau | FreeOut | BoundOut | BoundIn
 
 TAU = Tau()
 
+# ------------------------------------------------------------------------- formulas
+
+
+@dataclass(frozen=True)
+class TrueF:
+    pass
+
+
+@dataclass(frozen=True)
+class FalseF:
+    pass
+
+
+@dataclass(frozen=True)
+class And:
+    left: "Formula"
+    right: "Formula"
+
+
+@dataclass(frozen=True)
+class Or:
+    left: "Formula"
+    right: "Formula"
+
+
+@dataclass(frozen=True)
+class MatchDia:
+    left: Name
+    right: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class MatchBox:
+    left: Name
+    right: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class FreeDia:
+    action: Action  # Tau or FreeOut
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class FreeBox:
+    action: Action
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class OutDia:
+    ch: Name
+    body: "Formula"  # one binder deep
+
+
+@dataclass(frozen=True)
+class OutBox:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InDia:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InBox:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InDiaL:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InBoxL:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InDiaE:
+    ch: Name
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class InBoxE:
+    ch: Name
+    body: "Formula"
+
+
+Formula = (
+    TrueF
+    | FalseF
+    | And
+    | Or
+    | MatchDia
+    | MatchBox
+    | FreeDia
+    | FreeBox
+    | OutDia
+    | OutBox
+    | InDia
+    | InBox
+    | InDiaL
+    | InBoxL
+    | InDiaE
+    | InBoxE
+)
+
+TRUE = TrueF()
+FALSE = FalseF()
+
+_IN_NODES = (InDia, InBox, InDiaL, InBoxL, InDiaE, InBoxE)
+_ABS_NODES = (OutDia, OutBox) + _IN_NODES
+
 # ------------------------------------------------------------------- name traversal
 
 
 def map_names(term, f, depth: int = 0):
-    """Rebuild ``term`` (Process or Action) applying ``f(name, depth)`` to every
-    name occurrence, where ``depth`` counts binders crossed.  A node none of
-    whose names and children change is returned itself, not a copy, so an
-    unchanged subterm keeps its identity and its cached hash."""
+    """Rebuild ``term`` (Process, Action or Formula) applying ``f(name, depth)``
+    to every name occurrence, where ``depth`` counts binders crossed.  A node
+    none of whose names and children change is returned itself, not a copy, so
+    an unchanged subterm keeps its identity, its cached hash and its sharing."""
     match term:
         case Nil():
             return term
@@ -220,15 +348,27 @@ def map_names(term, f, depth: int = 0):
         case BoundOut(ch) | BoundIn(ch):
             a = f(ch, depth)
             return term if a is ch else type(term)(a)
-        case Tau():
+        case Tau() | TrueF() | FalseF():
             return term
+        case And(left, right) | Or(left, right):
+            a, b = map_names(left, f, depth), map_names(right, f, depth)
+            return term if a is left and b is right else type(term)(a, b)
+        case MatchDia(left, right, body) | MatchBox(left, right, body):
+            a, b, c = f(left, depth), f(right, depth), map_names(body, f, depth)
+            return term if a is left and b is right and c is body else type(term)(a, b, c)
+        case FreeDia(act, body) | FreeBox(act, body):
+            a, b = map_names(act, f, depth), map_names(body, f, depth)
+            return term if a is act and b is body else type(term)(a, b)
+        case _ if isinstance(term, _ABS_NODES):
+            a, b = f(term.ch, depth), map_names(term.body, f, depth + 1)
+            return term if a is term.ch and b is term.body else type(term)(a, b)
         case _:
-            raise TypeError(f"not a process or action: {term!r}")
+            raise TypeError(f"not a process, action or formula: {term!r}")
 
 
 def walk_names(term, f, depth: int = 0) -> None:
-    """Call ``f(name, depth)`` on every name occurrence of ``term`` (Process
-    or Action) in ``map_names`` order, building nothing."""
+    """Call ``f(name, depth)`` on every name occurrence of ``term`` (Process,
+    Action or Formula) in ``map_names`` order, building nothing."""
     while True:
         match term:
             case TauPref(cont) | Bang(cont):
@@ -252,10 +392,23 @@ def walk_names(term, f, depth: int = 0) -> None:
             case BoundOut(ch) | BoundIn(ch):
                 f(ch, depth)
                 return
-            case Nil() | Tau():
+            case Nil() | Tau() | TrueF() | FalseF():
                 return
+            case And(left, right) | Or(left, right):
+                walk_names(left, f, depth)
+                term = right
+            case MatchDia(a, b, body) | MatchBox(a, b, body):
+                f(a, depth)
+                f(b, depth)
+                term = body
+            case FreeDia(act, body) | FreeBox(act, body):
+                walk_names(act, f, depth)
+                term = body
+            case _ if isinstance(term, _ABS_NODES):
+                f(term.ch, depth)
+                term, depth = term.body, depth + 1
             case _:
-                raise TypeError(f"not a process or action: {term!r}")
+                raise TypeError(f"not a process, action or formula: {term!r}")
 
 
 def open_abs(body, name: Name):
@@ -291,7 +444,7 @@ def close_abs(term, name: Name):
 
 
 def free_names(term) -> frozenset:
-    """All Nabla/Eigen occurrences of a Process, Action or Name."""
+    """All Nabla/Eigen occurrences of a Process, Action, Formula or Name."""
     acc: set = set()
 
     def f(n, _d):
@@ -326,6 +479,7 @@ def normal_form(p: Process) -> Process:
 
 
 def _name_key(n: Name) -> tuple:
+    """The order on names that normal forms, distinctions and memo keys use."""
     match n:
         case Bound(i):
             return (0, i)
@@ -414,10 +568,19 @@ def _nf_operator(p: Sum | Par) -> tuple[Process, tuple]:
         q = q.right
     if q is ops[-1] and len(spine) == len(ops) - 1 and all(map(is_, spine, ops)):
         return p, key
-    out = ops[-1]
-    for t in reversed(ops[:-1]):
-        out = cls(t, out)
-    return out, key
+    return right_nest(cls, ops), key
+
+
+def right_nest(cls, parts: list, empty=None):
+    """``parts`` joined by the binary constructor ``cls``, right-nested as
+    ``cls(parts[0], cls(parts[1], ...))``; a single part is itself, and no
+    parts give ``empty``."""
+    if not parts:
+        return empty
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = cls(part, out)
+    return out
 
 
 def contains_bang(p: Process) -> bool:
@@ -658,20 +821,14 @@ class _Parser(_TokenParser):
         while self.peek()[1] == "+":
             self.next()
             parts.append(self.par(env))
-        out = parts[-1]
-        for part in reversed(parts[:-1]):  # right-associative
-            out = Sum(part, out)
-        return out
+        return right_nest(Sum, parts)
 
     def par(self, env: list) -> Process:
         parts = [self.unary(env)]
         while self.peek()[1] == "|":
             self.next()
             parts.append(self.unary(env))
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Par(part, out)
-        return out
+        return right_nest(Par, parts)
 
     def unary(self, env: list) -> Process:
         kind, val, pos = self.peek()
@@ -802,8 +959,9 @@ def surface_free_idents(p: Process) -> frozenset:
     return frozenset(acc)
 
 
-def encode(p: Process, prefix: Prefix) -> Process:
-    """Resolve Free placeholders against the prefix."""
+def encode(p, prefix: Prefix):
+    """Resolve the Free placeholders of a Process or Formula against the
+    prefix."""
     mapping = prefix.name_map()
 
     def f(n, _d):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, map_names
+from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, map_names
 
 
 class InternalError(Exception):
@@ -49,8 +49,8 @@ class Subst:
         return n
 
     def __call__(self, term):
-        """Apply to a Process or Action (capture-avoiding by construction:
-        the range contains no Bound names)."""
+        """Apply to a Process, Action or Formula (capture-avoiding by
+        construction: the range contains no Bound names)."""
         if self.is_identity():
             return term
         return map_names(term, lambda n, _d: self.name(n))
@@ -128,10 +128,7 @@ def unify_names(a: Name, b: Name) -> Subst | None:
 
 
 def _canon_pair(a: Name, b: Name) -> tuple[Name, Name]:
-    def key(n: Name):
-        return (0, n.level, 0) if isinstance(n, Nabla) else (1, n.id, n.ceiling)
-
-    return (a, b) if key(a) <= key(b) else (b, a)
+    return (a, b) if _name_key(a) <= _name_key(b) else (b, a)
 
 
 @dataclass(frozen=True, slots=True)

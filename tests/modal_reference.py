@@ -31,11 +31,8 @@ from pibisim.modal import (
     OutBox,
     OutDia,
     TrueF,
-    _apply_action,
     _in_candidates,
-    apply_subst_formula,
     formula_names,
-    map_formula_names,
     unify_actions,
 )
 from pibisim.syntax import (
@@ -47,6 +44,7 @@ from pibisim.syntax import (
     Name,
     Process,
     free_names,
+    map_names,
     open_abs,
 )
 from pibisim.unify import compose, unify_names
@@ -62,7 +60,7 @@ def open_formula(body: Formula, name: Name) -> Formula:
             case _:
                 return n
 
-    return map_formula_names(body, fn)
+    return map_names(body, fn)
 
 
 def sat_ground(p: Process, a: Formula, depth: int, budget: int, table: dict) -> bool:
@@ -156,7 +154,7 @@ def sat_open_at(
             rho = unify_names(x, y)
             if rho is None:
                 return True  # the hypothesis x=y can never hold
-            return sat_open_at(rho(p), apply_subst_formula(rho, body), depth, next_eigen, table)
+            return sat_open_at(rho(p), rho(body), depth, next_eigen, table)
         case FreeDia(act, body):
             return any(
                 sat_open_at(t.cont, body, depth, next_eigen, table)
@@ -165,13 +163,13 @@ def sat_open_at(
             )
         case FreeBox(act, body):
             for t in tabled_successors(p, depth, table)[0]:
-                act_i = _apply_action(t.theta, act)
+                act_i = t.theta(act)
                 rho = unify_actions(act_i, t.action)
                 if rho is None:
                     continue
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
-                    rho(t.cont), apply_subst_formula(sigma, body), depth, next_eigen, table
+                    rho(t.cont), sigma(body), depth, next_eigen, table
                 ):
                     return False
             return True
@@ -195,7 +193,7 @@ def sat_open_at(
                 sigma = compose(rho, t.theta)
                 if not sat_open_at(
                     open_abs(rho(t.cont), w),
-                    open_formula(apply_subst_formula(sigma, body), w),
+                    open_formula(sigma(body), w),
                     depth + 1,
                     next_eigen,
                     table,
@@ -220,7 +218,7 @@ def sat_open_at(
                     continue
                 sigma = compose(rho, t.theta)
                 cont = rho(t.cont)
-                body_i = apply_subst_formula(sigma, body)
+                body_i = sigma(body)
                 scope = [Nabla(l) for l in range(1, depth + 1)]
                 scope += sorted(
                     {

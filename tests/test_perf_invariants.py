@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 import corpus
+import oracles
 import pibisim as pb
 import pibisim.bisim as bisim_mod
 import pibisim.lts as lts_mod
@@ -18,7 +19,9 @@ import pibisim.modal as modal_mod
 from agree import enc as enc_tuple, make_prefix
 from pibisim.bisim import Goal, canonical_key, _pair_key
 from pibisim.syntax import (
+    _ABS_NODES,
     Eigen,
+    Formula,
     Nabla,
     Process,
     close_abs,
@@ -532,13 +535,14 @@ def fields(node):
 
 
 def subterms(p):
-    """Every node of ``p`` with the number of binders above it."""
+    """Every node of ``p``, a Process or Formula, with the number of binders
+    above it."""
     todo = [(p, 0)]
     while todo:
         q, depth = todo.pop()
         yield q, depth
-        inner = depth + isinstance(q, (pb.In, pb.Nu))
-        todo.extend((f, inner) for f in fields(q) if isinstance(f, Process))
+        inner = depth + isinstance(q, (pb.In, pb.Nu) + _ABS_NODES)
+        todo.extend((f, inner) for f in fields(q) if isinstance(f, Process | Formula))
 
 
 def dangling(q):
@@ -587,3 +591,45 @@ def test_rebuilt_terms_share_their_unchanged_operands():
     q = pb.Subst.of((names["c"], names["b"]))(p)
     assert q == enc("a!b.tau.0 | (b!b.0 + tau.b!b.0)", prefix)
     assert q.left is p.left and q.right.right is p.right.right
+
+
+def layer_formulas(seed, count):
+    """Seeded formulas of every kind, then every formula of the open
+    sublogic up to depth 2, over the names of ``CONGRUENCE_PREFIX``."""
+    rng = random.Random(seed)
+    prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
+    for _ in range(count):
+        f = oracles.random_formula(rng, rng.randint(1, 4), ("a", "b", "c"))
+        yield pb.encode_formula(pb.parse_formula(oracles.formula_to_text(f)), prefix)
+    names = prefix.name_map()
+    yield from modal_mod.enumerate_lm([names["a"], names["b"]], 2)
+
+
+def test_unchanged_formulas_are_returned_themselves():
+    """Formulas go through the processes' name walk: a formula node none of
+    whose names and children change is returned itself, closing and opening
+    at a name are inverse, and ``walk_names`` visits names as ``map_names``
+    does."""
+    a, b = (pb.parse_prefix(CONGRUENCE_PREFIX).name_map()[n] for n in "ab")
+    w = Eigen(7, 1)
+    absent = pb.Subst.of((w, b))
+    kinds = set()
+    for f in layer_formulas(23, 300):
+        assert map_names(f, lambda n, _d: n) is f
+        assert absent(f) is f
+        for q, _ in subterms(f):
+            kinds.add(type(q))
+            if not dangling(q):
+                assert close_abs(q, w) is q
+                assert open_abs(q, Nabla(5)) is q
+        closed = close_abs(f, a)
+        if a in pb.free_names(f):
+            assert closed != f
+        else:
+            assert closed is f
+        assert open_abs(closed, a) == f
+        walked, mapped = [], []
+        walk_names(f, lambda n, d: walked.append((n, d)))
+        map_names(f, lambda n, d: mapped.append((n, d)) or n)
+        assert walked == mapped
+    assert kinds == set(Formula.__args__)

@@ -1,5 +1,7 @@
 """Parser, encoder, alpha-equivalence, free names, pretty-printer."""
 
+import sys
+
 import pytest
 
 import pibisim as pb
@@ -31,6 +33,21 @@ def enc(text, prefix_text, defs=None):
 class TestParse:
     def test_nil(self):
         assert pb.parse_process("0") == NIL
+
+    def test_300_nested_parentheses_parse(self):
+        """The parsers spend a fixed number of frames per nesting level: 300
+        levels of a process and of a formula parse under the default
+        recursion limit, so a parser that spends more per level fails."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            n = 300
+            proc = pb.parse_process("(" * n + "tau.0 + 0 | 0" + ")" * n)
+            formula = pb.parse_formula("(" * n + "true v <tau>true & false" + ")" * n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert proc == pb.parse_process("tau.0 + 0 | 0")
+        assert formula == pb.parse_formula("true v <tau>true & false")
 
     def test_negative_example_shape(self):
         p = enc("(nu y)[x=y] x!z.0", "nabla x, nabla z")
