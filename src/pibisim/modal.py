@@ -64,7 +64,7 @@ from .syntax import (
     open_abs,
     right_nest,
     walk_names,
-    ParseError,
+    IDENT_RE,
     KEYWORDS,
     _IN_NODES,
     _Namer,
@@ -411,97 +411,97 @@ def sat_open_at(
 _RESERVED_FORMULA = {"true", "false", "v", "L", "E"} | KEYWORDS
 
 
+_IN_MODALITIES = {
+    ("", True): InDia,
+    ("", False): InBox,
+    ("L", True): InDiaL,
+    ("L", False): InBoxL,
+    ("E", True): InDiaE,
+    ("E", False): InBoxE,
+}
+
+
 class _FormulaParser(_TokenParser):
-    token_re = re.compile(
-        r"\s*(?:(?P<ident>[a-z][a-zA-Z0-9_]*|[LE])|(?P<punct>[<>\[\]=!?()&.]))"
-    )
+    token_re = re.compile(rf"({IDENT_RE.pattern}|[LE]|[<>\[\]=!?()&.])")
     token_what = "a formula token"
     reserved = _RESERVED_FORMULA
 
     def top(self, env) -> Formula:
         parts = [self.conj(env)]
-        while self.peek()[1] == "v":
-            self.next()
+        while self.toks[self.i] == "v":
+            self.i += 1
             parts.append(self.conj(env))
         return right_nest(Or, parts)
 
     def conj(self, env) -> Formula:
         parts = [self.unary(env)]
-        while self.peek()[1] == "&":
-            self.next()
+        while self.toks[self.i] == "&":
+            self.i += 1
             parts.append(self.unary(env))
         return right_nest(And, parts)
 
     def unary(self, env) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "true":
-            self.next()
+        tok = self.toks[self.i]
+        if tok == "true":
+            self.i += 1
             return TRUE
-        if val == "false":
-            self.next()
+        if tok == "false":
+            self.i += 1
             return FALSE
-        if val == "(":
-            self.next()
+        if tok == "(":
+            self.i += 1
             f = self.top(env)
             self.expect(")")
             return f
-        if val in ("<", "["):
-            closer = ">" if val == "<" else "]"
-            is_dia = val == "<"
-            self.next()
-            return self.modal(is_dia, closer, env)
-        raise ParseError(pos, ("a formula",), val)
+        if tok == "<" or tok == "[":
+            self.i += 1
+            return self.modal(tok == "<", ">" if tok == "<" else "]", env)
+        raise self.error(("a formula",))
 
     def modal(self, is_dia: bool, closer: str, env) -> Formula:
-        kind, val, pos = self.peek()
-        if val == "tau":
-            self.next()
+        toks = self.toks
+        if toks[self.i] == "tau":
+            self.i += 1
             self.expect(closer)
             body = self.unary(env)
             return FreeDia(TAU, body) if is_dia else FreeBox(TAU, body)
-        ch_ident = self.expect_ident()
-        ch = self.resolve(ch_ident, env)
-        kind, val, pos = self.peek()
-        if val == "=":
-            self.next()
+        ch = self.resolve(self.expect_ident(), env)
+        i = self.i
+        tok = toks[i]
+        if tok == "=":
+            self.i = i + 1
             other = self.resolve(self.expect_ident(), env)
             self.expect(closer)
             body = self.unary(env)
             return MatchDia(ch, other, body) if is_dia else MatchBox(ch, other, body)
-        if val == "!":
-            self.next()
-            if self.peek()[1] == "(":
-                self.next()
+        if tok == "!":
+            if toks[i + 1] == "(":
+                self.i = i + 2
                 binder = self.expect_ident()
                 self.expect(")")
                 self.expect(closer)
                 body = self.unary([binder] + env)
                 return OutDia(ch, body) if is_dia else OutBox(ch, body)
+            self.i = i + 1
             obj = self.resolve(self.expect_ident(), env)
             self.expect(closer)
             body = self.unary(env)
             act = FreeOut(ch, obj)
             return FreeDia(act, body) if is_dia else FreeBox(act, body)
-        if val == "?":
-            self.next()
+        if tok == "?":
+            self.i = i + 1
             self.expect("(")
             binder = self.expect_ident()
             self.expect(")")
             self.expect(closer)
-            flavour = ""
-            if self.peek()[1] in ("L", "E"):
-                flavour = self.next()[1]
+            flavour = toks[self.i]
+            if flavour == "L" or flavour == "E":
+                self.i += 1
+            else:
+                flavour = ""
             body = self.unary([binder] + env)
-            table = {
-                ("", True): InDia,
-                ("", False): InBox,
-                ("L", True): InDiaL,
-                ("L", False): InBoxL,
-                ("E", True): InDiaE,
-                ("E", False): InBoxE,
-            }
-            return table[(flavour, is_dia)](ch, body)
-        raise ParseError(pos, ("'='", "'!'", "'?'"), val)
+            return _IN_MODALITIES[(flavour, is_dia)](ch, body)
+        raise self.error(("'='", "'!'", "'?'"))
 
 
 def parse_formula(text: str) -> Formula:

@@ -7,6 +7,11 @@ scoped constants with a level (``Nabla``) and instantiable variables with a
 level ceiling (``Eigen``).  The parser leaves free names as ``Free``
 placeholders which ``encode`` resolves against a quantifier prefix.
 
+The process parser here and the formula parser in ``modal`` are cursors over
+the token strings of the whole text, which one regex ``split`` cuts out.
+A ``Prefix`` builds its name map and counts once, and ``parse_prefix`` is
+memoised by text, so a query's prefix is parsed and mapped once.
+
 Processes, actions and formulas bind names alike and share one name walk
 (``map_names``, ``walk_names``), so ``open_abs``, ``close_abs``,
 ``free_names``, ``encode`` and ``unify.Subst`` serve all three.
@@ -16,6 +21,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from operator import attrgetter, is_
 
 # --------------------------------------------------------------------------- names
@@ -663,58 +670,57 @@ class Prefix:
 
     Each entry is ("forall" | "nabla", ident).  Nabla entries receive levels
     1..k left to right; forall entries become eigenvariables whose ceiling is
-    the number of nabla entries to their left.
+    the number of nabla entries to their left.  The name map and the two
+    counts are computed once, when the prefix is built.
     """
 
     entries: tuple[tuple[str, str], ...] = ()
+    _name_map: dict[str, Name] = field(init=False, repr=False, compare=False)
+    nabla_count: int = field(init=False, repr=False, compare=False)
+    eigen_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for quant, ident in self.entries:
-            if quant not in ("forall", "nabla"):
-                raise ValueError(f"bad quantifier {quant!r}")
-            if ident in seen:
-                raise DuplicatePrefixName(ident)
-            seen.add(ident)
-
-    def name_map(self) -> dict[str, Name]:
-        """ident -> encoded Name, per the level/ceiling discipline."""
-        out: dict[str, Name] = {}
+        names: dict[str, Name] = {}
         level = 0
         eigen_id = 0
         for quant, ident in self.entries:
+            if quant not in ("forall", "nabla"):
+                raise ValueError(f"bad quantifier {quant!r}")
+            if ident in names:
+                raise DuplicatePrefixName(ident)
             if quant == "nabla":
                 level += 1
-                out[ident] = Nabla(level)
+                names[ident] = Nabla(level)
             else:
                 eigen_id += 1
-                out[ident] = Eigen(eigen_id, level)
-        return out
+                names[ident] = Eigen(eigen_id, level)
+        object.__setattr__(self, "_name_map", names)
+        object.__setattr__(self, "nabla_count", level)
+        object.__setattr__(self, "eigen_count", eigen_id)
+
+    def name_map(self) -> dict[str, Name]:
+        """ident -> encoded Name, per the level/ceiling discipline (a copy)."""
+        return dict(self._name_map)
 
     def idents_by_name(self) -> dict[Name, str]:
-        return {name: ident for ident, name in self.name_map().items()}
+        return {name: ident for ident, name in self._name_map.items()}
 
     @property
     def idents(self) -> tuple[str, ...]:
         return tuple(ident for _q, ident in self.entries)
 
-    @property
-    def nabla_count(self) -> int:
-        return sum(1 for q, _ in self.entries if q == "nabla")
-
-    @property
-    def eigen_count(self) -> int:
-        return sum(1 for q, _ in self.entries if q == "forall")
-
     def is_all_nabla(self) -> bool:
-        return all(q == "nabla" for q, _ in self.entries)
+        return self.eigen_count == 0
 
     def extended(self, quant: str, ident: str) -> "Prefix":
         return Prefix(self.entries + ((quant, ident),))
 
 
+@lru_cache(maxsize=1024)
 def parse_prefix(text: str) -> Prefix:
-    """Parse a comma list of "forall x" / "nabla x"; empty string allowed."""
+    """Parse a comma list of "forall x" / "nabla x"; empty string allowed.
+    Memoised by text: a ``Prefix`` is immutable, and a bad text raises on
+    every call, since a call that raises is not cached."""
     text = text.strip()
     if not text:
         return Prefix(())
@@ -730,72 +736,58 @@ def parse_prefix(text: str) -> Prefix:
     return Prefix(tuple(entries))
 
 
-# ------------------------------------------------------------------------ tokenizer
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-z][a-zA-Z0-9_]*)|(?P<punct>[0.!?()\[\]=+|,]))"
-)
-
-
-def tokenize(text: str, token_re=_TOKEN_RE, what: str = "a token") -> list[tuple[str, str, int]]:
-    """Return (kind, value, position) triples; kind is 'ident' or 'punct'.
-    ``token_re`` has an ``ident`` and a ``punct`` group; a character it
-    cannot start a token at is reported as not being ``what``."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(bad, (what,), text[bad])
-        if m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
-    return tokens
-
-
 # --------------------------------------------------------------------------- parser
 
 
 class _TokenParser:
-    """Token helpers shared by the process and formula parsers.  A subclass
-    sets its token pattern, what a bad character is reported as, and the
-    reserved words that are not names, and implements ``top``."""
+    """A cursor over the token strings of one text, shared by the process and
+    formula parsers.  One ``token_re.split`` cuts the text into the tokens,
+    at odd indices, and the gaps around them; the text is well formed when
+    every gap is whitespace.  The tokens end with ``""`` for the end of
+    input, and a token is a name when it starts with a letter.  The grammar
+    reads ``self.toks[self.i]`` and moves ``i``; a token's position in the
+    text is computed only for a ``ParseError``.  A subclass sets its token
+    pattern (one capturing group around the alternatives), what a bad
+    character is reported as, and the reserved words that are not names, and
+    implements ``top``."""
 
-    token_re = _TOKEN_RE
+    token_re = re.compile(rf"({IDENT_RE.pattern}|[0.!?()\[\]=+|,])")
     token_what = "a token"
     reserved = KEYWORDS
 
     def __init__(self, text: str):
+        parts = self.token_re.split(text)
+        if "".join(parts[::2]).strip():
+            k = next(k for k in range(0, len(parts), 2) if parts[k].strip())
+            bad = len("".join(parts[:k])) + len(parts[k]) - len(parts[k].lstrip())
+            raise ParseError(bad, (self.token_what,), text[bad])
         self.text = text
-        self.tokens = tokenize(text, self.token_re, self.token_what)
+        self.toks = parts[1::2]
+        self.toks.append("")
         self.i = 0
 
-    def peek(self, ahead: int = 0):
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else ("eof", "", len(self.text))
+    def error(self, expected, at: int | None = None, found: str | None = None) -> ParseError:
+        """A ParseError at token ``at`` (default: the current one), which is
+        also what was found unless ``found`` is given."""
+        at = self.i if at is None else at
+        tok = self.toks[at]
+        if tok:
+            pos = next(islice(self.token_re.finditer(self.text), at, None)).start()
+        else:
+            pos = len(self.text)
+        return ParseError(pos, expected, tok if found is None else found)
 
-    def next(self):
-        tok = self.peek()
+    def expect(self, value: str) -> None:
+        if self.toks[self.i] != value:
+            raise self.error((repr(value),))
+        self.i += 1
+
+    def expect_ident(self, what: str = "name") -> str:
+        tok = self.toks[self.i]
+        if not tok[:1].isalpha() or tok in self.reserved:
+            raise self.error((what,))
         self.i += 1
         return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.peek()
-        if val != value or kind == "eof":
-            raise ParseError(pos, (repr(value),), val)
-        return self.next()
-
-    def expect_ident(self, what: str = "name"):
-        kind, val, pos = self.peek()
-        if kind != "ident" or val in self.reserved:
-            raise ParseError(pos, (what,), val)
-        self.next()
-        return val
 
     def resolve(self, ident: str, env: list) -> Name:
         if ident in env:
@@ -804,9 +796,8 @@ class _TokenParser:
 
     def parse(self):
         out = self.top([])
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(pos, ("end of input",), val)
+        if self.toks[self.i]:
+            raise self.error(("end of input",))
         return out
 
 
@@ -818,90 +809,92 @@ class _Parser(_TokenParser):
     # grammar: proc := sum ; sum := par ("+" par)* ; par := unary ("|" unary)*
     def top(self, env: list) -> Process:
         parts = [self.par(env)]
-        while self.peek()[1] == "+":
-            self.next()
+        while self.toks[self.i] == "+":
+            self.i += 1
             parts.append(self.par(env))
         return right_nest(Sum, parts)
 
     def par(self, env: list) -> Process:
         parts = [self.unary(env)]
-        while self.peek()[1] == "|":
-            self.next()
+        while self.toks[self.i] == "|":
+            self.i += 1
             parts.append(self.unary(env))
         return right_nest(Par, parts)
 
     def unary(self, env: list) -> Process:
-        kind, val, pos = self.peek()
-        if val == "0":
-            self.next()
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok == "0":
+            self.i = i + 1
             return NIL
-        if val == "!":
-            self.next()
+        if tok == "!":
+            self.i = i + 1
             return Bang(self.unary(env))
-        if val == "tau":
-            self.next()
+        if tok == "tau":
+            self.i = i + 1
             self.expect(".")
             return TauPref(self.unary(env))
-        if val == "(":
-            if self.peek(1)[1] == "nu":
-                self.next()
-                self.next()
+        if tok == "(":
+            if toks[i + 1] == "nu":
+                self.i = i + 2
                 binder = self.expect_ident("restricted name")
                 self.expect(")")
                 return Nu(self.unary([binder] + env))
-            self.next()
+            self.i = i + 1
             inner = self.top(env)
             self.expect(")")
             return inner
-        if val == "[":
-            self.next()
+        if tok == "[":
+            self.i = i + 1
             left = self.resolve(self.expect_ident(), env)
             self.expect("=")
             right = self.resolve(self.expect_ident(), env)
             self.expect("]")
             return Match(left, right, self.unary(env))
-        if kind == "ident" and val not in KEYWORDS:
-            self.next()
-            ch = self.resolve(val, env)
-            nxt = self.peek()[1]
+        if tok[:1].isalpha() and tok not in KEYWORDS:
+            ch = self.resolve(tok, env)
+            nxt = toks[i + 1]
             if nxt == "!":
-                self.next()
-                if self.peek()[0] == "ident" and self.peek()[1] not in KEYWORDS:
-                    obj = self.resolve(self.expect_ident(), env)
+                obj = toks[i + 2]
+                if obj[:1].isalpha() and obj not in KEYWORDS:
+                    self.i = i + 3
                 else:
-                    obj = self.resolve(RESERVED_OBJ, env)  # `x!.P` abbreviation
+                    self.i = i + 2
+                    obj = RESERVED_OBJ  # `x!.P` abbreviation
                 self.expect(".")
-                return Out(ch, obj, self.unary(env))
+                return Out(ch, self.resolve(obj, env), self.unary(env))
             if nxt == "?":
-                self.next()
+                self.i = i + 2
                 self.expect("(")
                 binder = self.expect_ident("input name")
                 self.expect(")")
                 self.expect(".")
                 return In(ch, self.unary([binder] + env))
             if nxt == ".":
-                self.next()
+                self.i = i + 2
                 # `x.P` abbreviation: input with a vacuous binder
                 return In(ch, self.unary(["\0vacuous"] + env))
             if nxt == "(":
-                return self.call(val, pos, env)
-            raise ParseError(self.peek()[2], ("'!'", "'?'", "'.'", "'('"), nxt)
-        raise ParseError(pos, ("a process",), val)
+                self.i = i + 1
+                return self.call(tok, i, env)
+            raise self.error(("'!'", "'?'", "'.'", "'('"), i + 1)
+        raise self.error(("a process",))
 
-    def call(self, ident: str, pos: int, env: list) -> Process:
+    def call(self, ident: str, at: int, env: list) -> Process:
+        """Expand a call of ``ident``, whose token is number ``at``."""
         if ident not in self.defs:
-            raise ParseError(pos, ("a declared identifier",), ident)
+            raise self.error(("a declared identifier",), at)
         params, body = self.defs[ident]
         self.expect("(")
         args: list[Name] = []
-        if self.peek()[1] != ")":
+        if self.toks[self.i] != ")":
             args.append(self.resolve(self.expect_ident("argument name"), env))
-            while self.peek()[1] == ",":
-                self.next()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 args.append(self.resolve(self.expect_ident("argument name"), env))
         self.expect(")")
         if len(args) != len(params):
-            raise ParseError(pos, (f"{len(params)} argument(s) for {ident}",), str(len(args)))
+            raise self.error((f"{len(params)} argument(s) for {ident}",), at, str(len(args)))
         binding = dict(zip(params, args))
 
         def f(n, d):
@@ -962,7 +955,7 @@ def surface_free_idents(p: Process) -> frozenset:
 def encode(p, prefix: Prefix):
     """Resolve the Free placeholders of a Process or Formula against the
     prefix."""
-    mapping = prefix.name_map()
+    mapping = prefix._name_map
 
     def f(n, _d):
         if isinstance(n, Free):

@@ -16,6 +16,7 @@ import pibisim as pb
 import pibisim.bisim as bisim_mod
 import pibisim.lts as lts_mod
 import pibisim.modal as modal_mod
+import pibisim.syntax as syntax_mod
 from agree import enc as enc_tuple, make_prefix
 from pibisim.bisim import Goal, canonical_key, _pair_key
 from pibisim.syntax import (
@@ -633,3 +634,72 @@ def test_unchanged_formulas_are_returned_themselves():
         map_names(f, lambda n, d: mapped.append((n, d)) or n)
         assert walked == mapped
     assert kinds == set(Formula.__args__)
+
+
+# ------------------------------------------------------ parsing and encoding
+
+
+class _CountingPattern:
+    """A compiled pattern whose method calls are recorded in ``calls``."""
+
+    def __init__(self, pattern, calls):
+        self._pattern, self._calls = pattern, calls
+
+    def __getattr__(self, attr):
+        method = getattr(self._pattern, attr)
+
+        def counted(*args, **kwargs):
+            self._calls.append(attr)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _regex_calls(monkeypatch, parser_cls, parse, text):
+    calls = []
+    monkeypatch.setattr(parser_cls, "token_re", _CountingPattern(parser_cls.token_re, calls))
+    try:
+        parse(text)
+    except pb.ParseError:
+        pass
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, unit, joiner, bad_end",
+    [
+        ("process", "x!y.0", " | ", " | x 0"),
+        ("formula", "<x!y>true", " & ", " & <x>true"),
+    ],
+)
+def test_parsing_makes_a_constant_number_of_regex_calls(monkeypatch, kind, unit, joiner, bad_end):
+    """A text is cut into tokens by one regex call, and a parse error's
+    position costs one more, however long the text: matching token by token
+    fails this."""
+    parser_cls = syntax_mod._Parser if kind == "process" else modal_mod._FormulaParser
+    parse = pb.parse_process if kind == "process" else pb.parse_formula
+    long_text = joiner.join([unit] * 90)
+    assert len(parser_cls.token_re.findall(long_text)) >= 500
+    for text in (unit, long_text):
+        assert _regex_calls(monkeypatch, parser_cls, parse, text) == ["split"]
+        assert _regex_calls(monkeypatch, parser_cls, parse, text + bad_end) == ["split", "finditer"]
+        assert _regex_calls(monkeypatch, parser_cls, parse, text + " $") == ["split"]
+
+
+def test_encode_reads_the_prefix_map_built_once(monkeypatch):
+    """``encode``, pretty-printing and the prefix counts read what the prefix
+    built when it was made, not ``name_map()``'s copy."""
+    prefix = pb.parse_prefix("nabla x, forall y")
+
+    def refuse(self):
+        raise AssertionError("name_map() called")
+
+    monkeypatch.setattr(pb.Prefix, "name_map", refuse)
+    p = pb.encode(pb.parse_process("x!y.y?(u).0"), prefix)
+    f = pb.encode_formula(pb.parse_formula("<x!y>true"), prefix)
+    assert p == pb.Out(Nabla(1), Eigen(1, 1), pb.In(Eigen(1, 1), pb.NIL))
+    assert f == modal_mod.FreeDia(pb.FreeOut(Nabla(1), Eigen(1, 1)), modal_mod.TRUE)
+    assert pb.pretty(p, prefix) == "x!y.y.0"
+    assert (prefix.nabla_count, prefix.eigen_count) == (1, 1)
+    assert pb.successors_free(p, prefix.nabla_count)

@@ -71,6 +71,31 @@ def test_open_close_inverse(seed):
         assert pb.open_abs(pb.close_abs(e, n), n) == e
 
 
+# Token soups: tokens of each text language, characters that start no token,
+# and whitespace, glued at random.  ``f`` is declared so that calls parse.
+JUNK = ["$", "#", "X", "9", "_", "-", "\u00e9", " ", "  ", "\t", "\n", "\u00a0"]
+SOUP_DEFS = pb.parse_decls("f(a) := a!a.0\n")
+SOUPS = {
+    "process": (
+        lambda text: pb.parse_process(text, SOUP_DEFS),
+        "0 . ! ? ( ) [ ] = + | , x y f tau nu (nu".split() + JUNK,
+    ),
+    "formula": (pb.parse_formula, "< > [ ] = ! ? ( ) & . v x y true false tau L E".split() + JUNK),
+    "prefix": (pb.parse_prefix, "forall nabla x y tau , ,".split() + JUNK),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SOUPS)), st.data())
+def test_parsers_raise_only_parse_errors(language, data):
+    parse, tokens = SOUPS[language]
+    text = "".join(data.draw(st.lists(st.sampled_from(tokens), max_size=40)))
+    try:
+        parse(text)
+    except (pb.ParseError, pb.DuplicatePrefixName):
+        pass
+
+
 # ------------------------------------------------------------------------ lts
 
 

@@ -101,6 +101,136 @@ class TestParse:
             pb.parse_process("tau!x.0")
 
 
+# Malformed texts with the exact (position, expected, found) of their
+# ParseError, one row or more for each place a parser raises: a character
+# that starts no token, empty and blank text, trailing input, each expected
+# punctuation and name (keywords used as names included), a name followed by
+# none of ! ? . (, undeclared calls and wrong arities, each bad branch of a
+# formula modality, and the prefix parser's two checks.
+CALL_DEFS = "f(a) := a!a.0\ng() := tau.0\n"
+PROCESS_ERRORS = [
+    ("$", 0, ("a token",), "$"),
+    ("x!y.0 $", 6, ("a token",), "$"),
+    ("X!y.0", 0, ("a token",), "X"),
+    ("  x!Y.0", 4, ("a token",), "Y"),
+    ("x!y.0\t#", 6, ("a token",), "#"),
+    ("0abc", 1, ("end of input",), "abc"),
+    ("", 0, ("a process",), ""),
+    ("   ", 3, ("a process",), ""),
+    ("0 0", 2, ("end of input",), "0"),
+    ("tau.0 )", 6, ("end of input",), ")"),
+    ("tau 0", 4, ("'.'",), "0"),
+    ("tau!x.0", 3, ("'.'",), "!"),
+    ("(nu x 0", 6, ("')'",), "0"),
+    ("(nu 0)", 4, ("restricted name",), "0"),
+    ("(nu tau).0", 4, ("restricted name",), "tau"),
+    ("(0", 2, ("')'",), ""),
+    ("[x y]0", 3, ("'='",), "y"),
+    ("[0=y]0", 1, ("name",), "0"),
+    ("[x=nu]0", 3, ("name",), "nu"),
+    ("[x=y 0", 5, ("']'",), "0"),
+    ("x!y 0", 4, ("'.'",), "0"),
+    ("x!tau.0", 2, ("'.'",), "tau"),
+    ("x?y", 2, ("'('",), "y"),
+    ("x?(0).0", 3, ("input name",), "0"),
+    ("x?(tau).0", 3, ("input name",), "tau"),
+    ("x?(y 0", 5, ("')'",), "0"),
+    ("x?(y)0", 5, ("'.'",), "0"),
+    ("x 0", 2, ("'!'", "'?'", "'.'", "'('"), "0"),
+    ("x", 1, ("'!'", "'?'", "'.'", "'('"), ""),
+    ("x!y.0 | y ]", 10, ("'!'", "'?'", "'.'", "'('"), "]"),
+    ("+", 0, ("a process",), "+"),
+    ("nu", 0, ("a process",), "nu"),
+    ("x + )", 2, ("'!'", "'?'", "'.'", "'('"), "+"),
+    ("f(x)", 0, ("a declared identifier",), "f"),
+    ("tau.h(x)", 4, ("a declared identifier",), "h"),
+]
+CALL_ERRORS = [
+    ("f(x, y)", 0, ("1 argument(s) for f",), "2"),
+    ("f()", 0, ("1 argument(s) for f",), "0"),
+    ("tau.g(x)", 4, ("0 argument(s) for g",), "1"),
+    ("f(0)", 2, ("argument name",), "0"),
+    ("f(x,)", 4, ("argument name",), ")"),
+    ("f(x", 3, ("')'",), ""),
+    ("f x", 2, ("'!'", "'?'", "'.'", "'('"), "x"),
+]
+FORMULA_ERRORS = [
+    ("$", 0, ("a formula token",), "$"),
+    ("true $", 5, ("a formula token",), "$"),
+    ("0", 0, ("a formula token",), "0"),
+    ("X", 0, ("a formula token",), "X"),
+    ("true & T", 7, ("a formula token",), "T"),
+    ("", 0, ("a formula",), ""),
+    ("  ", 2, ("a formula",), ""),
+    ("true true", 5, ("end of input",), "true"),
+    ("true )", 5, ("end of input",), ")"),
+    ("(true", 5, ("')'",), ""),
+    ("<tau true", 5, ("'>'",), "true"),
+    ("<x=y true", 5, ("'>'",), "true"),
+    ("<x= >true", 4, ("name",), ">"),
+    ("<v=x>true", 1, ("name",), "v"),
+    ("<x=v>true", 3, ("name",), "v"),
+    ("<x!y true", 5, ("'>'",), "true"),
+    ("<x!(y true", 6, ("')'",), "true"),
+    ("<x!(y)true", 6, ("'>'",), "true"),
+    ("<x!(L)>true", 4, ("name",), "L"),
+    ("<x?y>true", 3, ("'('",), "y"),
+    ("<x?(y>true", 5, ("')'",), ">"),
+    ("<x?(y)true", 6, ("'>'",), "true"),
+    ("<x?(E)>true", 4, ("name",), "E"),
+    ("v", 0, ("a formula",), "v"),
+    ("&", 0, ("a formula",), "&"),
+    (">", 0, ("a formula",), ">"),
+    ("x", 0, ("a formula",), "x"),
+    ("<x>true", 2, ("'='", "'!'", "'?'"), ">"),
+    ("<x.y>true", 2, ("'='", "'!'", "'?'"), "."),
+    ("<x", 2, ("'='", "'!'", "'?'"), ""),
+    ("<0>true", 1, ("a formula token",), "0"),
+    ("<true>true", 1, ("name",), "true"),
+    ("<L?(x)>true", 1, ("name",), "L"),
+    ("[x]true", 2, ("'='", "'!'", "'?'"), "]"),
+    ("[tau>true", 4, ("']'",), ">"),
+    ("[x=y>true", 4, ("']'",), ">"),
+]
+PREFIX_ERRORS = [
+    ("forall", 0, ("forall IDENT", "nabla IDENT"), "forall"),
+    ("exists x", 0, ("forall IDENT", "nabla IDENT"), "exists x"),
+    ("forall x,", 0, ("forall IDENT", "nabla IDENT"), ""),
+    ("forall X", 0, ("identifier",), "X"),
+    ("nabla tau", 0, ("identifier",), "tau"),
+    ("forall x y", 0, ("forall IDENT", "nabla IDENT"), "forall x y"),
+    ("forall x,, nabla y", 0, ("forall IDENT", "nabla IDENT"), ""),
+    ("nabla x, forall 0", 0, ("identifier",), "0"),
+]
+
+
+def _parsers():
+    defs = pb.parse_decls(CALL_DEFS)
+    return {
+        "process": pb.parse_process,
+        "call": lambda text: pb.parse_process(text, defs),
+        "formula": pb.parse_formula,
+        "prefix": pb.parse_prefix,
+    }
+
+
+@pytest.mark.parametrize(
+    "parser, text, position, expected, found",
+    [("process", *row) for row in PROCESS_ERRORS]
+    + [("call", *row) for row in CALL_ERRORS]
+    + [("formula", *row) for row in FORMULA_ERRORS]
+    + [("prefix", *row) for row in PREFIX_ERRORS],
+)
+def test_parse_error_is_pinned(parser, text, position, expected, found):
+    with pytest.raises(pb.ParseError) as info:
+        _parsers()[parser](text)
+    assert (info.value.position, info.value.expected, info.value.found) == (
+        position,
+        expected,
+        found,
+    )
+
+
 class TestEncode:
     def test_nil_empty_prefix(self):
         assert enc("0", "") == NIL
@@ -129,6 +259,52 @@ class TestEncode:
     def test_duplicate_prefix_name(self):
         with pytest.raises(pb.DuplicatePrefixName):
             pfx("nabla x, forall x")
+
+
+class TestPrefixCache:
+    """``parse_prefix`` is memoised by text; a cached prefix must behave as
+    a freshly built one."""
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("forall x,", pb.ParseError), ("nabla x, forall x", pb.DuplicatePrefixName)],
+    )
+    def test_bad_text_raises_on_every_call(self, text, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                pfx(text)
+
+    def test_same_text_gives_the_same_prefix(self):
+        assert pfx("nabla a, forall x") is pfx("nabla a, forall x")
+
+    def test_name_map_is_a_copy(self):
+        text = "nabla x, forall y"
+        before = enc("x!y.0", text)
+        names = pfx(text).name_map()
+        names["x"] = Nabla(7)
+        names.clear()
+        assert enc("x!y.0", text) == before == Out(Nabla(1), Eigen(1, 1), NIL)
+        assert pfx(text).name_map() == {"x": Nabla(1), "y": Eigen(1, 1)}
+
+    def test_built_and_parsed_prefixes_agree(self):
+        text = "nabla a, forall x, nabla b, forall y"
+        built = pb.Prefix((("nabla", "a"), ("forall", "x"), ("nabla", "b"), ("forall", "y")))
+        parsed = pfx(text)
+        assert built == parsed and hash(built) == hash(parsed)
+        proc = pb.parse_process("[a=x]b!y.0 | x?(u).u!a.0")
+        formula = pb.parse_formula("<a!x>true & [y?(u)]<u=b>true")
+        assert pb.encode(proc, built) == pb.encode(proc, parsed)
+        assert pb.encode(formula, built) == pb.encode(formula, parsed)
+        for prefix in (built, parsed):
+            assert (prefix.nabla_count, prefix.eigen_count) == (2, 2)
+        assert built.idents_by_name() == parsed.idents_by_name() == {
+            Nabla(1): "a",
+            Eigen(1, 1): "x",
+            Nabla(2): "b",
+            Eigen(2, 2): "y",
+        }
+        assert not built.is_all_nabla() and pfx("nabla a, nabla b").is_all_nabla()
+        assert pb.Prefix().nabla_count == pb.Prefix().eigen_count == 0
 
 
 class TestAlphaEq:
