@@ -24,16 +24,19 @@ folding its formula all read the clause: its defenders, its names with the
 depth and next eigenvariable each opens at, its shape, its modalities, and
 its child goals, built on demand.
 
-The game is played up to structural congruence.  Moves, witnesses and
-formulas are computed on the raw terms, but each goal is memoised under the
-normal forms of its two sides (``syntax.normal_form``, cached per game), and a
-goal whose two normal forms are equal holds at once: congruent processes are
-bisimilar in every mode and under every substitution.  So goals that differ
-only in the order of parallel components, ``0`` operands, repeated summands or
-unused restrictions share one memo entry, and the certificate of a positive
-verdict is a bisimulation up to congruence, which ``verify_certificate``
-checks in a fresh game.  Memo keys rename eigenvariables only when they are
-not already numbered by first occurrence.
+The game is played up to structural congruence.  The root is the user's
+goal as given, but every child goal's two sides are their normal forms
+(``syntax.normal_form``, cached per game, where a normal form is its own
+entry), so moves, witnesses and formulas below the root are computed on one
+representative per congruence class.  Each goal is memoised under the normal
+forms of its two sides, and a goal whose two normal forms are equal holds at
+once: congruent processes are bisimilar in every mode and under every
+substitution.  So goals that differ only in the order of parallel components,
+``0`` operands, repeated summands or unused restrictions share one memo entry
+and one witness node, and the certificate of a positive verdict is a
+bisimulation up to congruence, which ``verify_certificate`` checks in a fresh
+game.  Memo keys rename eigenvariables only when they are not already
+numbered by first occurrence.
 
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends; the table
@@ -48,12 +51,13 @@ node, with no search: a diamond where the left side attacks, a box where the
 right one does.  An open box also meets the left side's moves that answer the
 attack only under a unifier, and the clause lists these conditional answers,
 one ``<x=y>true`` guard each.  The formula is machine-checked against both
-processes before it is returned; that check reads successors from the game's
-own table.
+of the user's processes, as given, before it is returned; that check reads
+successors from the game's own table where it has them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import modal as M
@@ -199,8 +203,9 @@ class _Clause:
     its child goals (``None`` for a move that opens nothing); ``shape`` orders
     the quantifiers over names and ``defenders``; ``modalities`` is the
     diamond/box pair a formula of the move folds with.  Child goals are built
-    on demand, one per defender and name, and so are the conditional answers
-    among the defending side's candidate ``moves``, which only formulas read."""
+    on demand, one per defender and name, with both sides put in ``normal``
+    form, and so are the conditional answers among the defending side's
+    candidate ``moves``, which only formulas read."""
 
     side: str
     attack: Transition
@@ -210,6 +215,7 @@ class _Clause:
     shape: str
     modalities: tuple[type, type]
     moves: list[Transition]
+    normal: Callable[[Process], Process]
 
     def conditional(self) -> list[tuple[Name, Name]]:
         """The candidate moves that answer the attack only under a unifier
@@ -230,7 +236,7 @@ class _Clause:
             a, b = open_abs(a, w), open_abs(b, w)
         if self.side == "right":
             a, b = b, a
-        return Goal(depth, next_eigen, self.distinct, a, b)
+        return Goal(depth, next_eigen, self.distinct, self.normal(a), self.normal(b))
 
 
 class _Game:
@@ -275,12 +281,15 @@ class _Game:
             else:
                 shape, mods = _EARLY, (M.InDiaE, M.InBoxE)
         defenders = [u for u in ts if u.theta.is_identity() and u.action == act]
-        return _Clause(side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods, ts)
+        return _Clause(
+            side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods, ts, self._normal_form
+        )
 
     def _normal_form(self, p: Process) -> Process:
         hit = self.nf.get(p)
         if hit is None:
-            hit = self.nf[p] = normal_form(p)
+            hit = normal_form(p)
+            self.nf[p] = self.nf[hit] = hit  # a normal form is its own
         return hit
 
     def _normalised(self, goal: Goal) -> Goal:
@@ -585,13 +594,18 @@ def verify_witness(result: BisimResult) -> bool:
     """Structurally replay a refutation witness, without deciding any goal:
     at every node the recorded attack must exist and respect the goal's
     distinction, the replies must be exactly the defender's answers in order,
-    and each reply's child must be the goal that the mode's instantiation
-    rule gives and must itself replay.  The witness is finite and a node
-    without replies is an attack the defender cannot answer, so by induction
-    every recorded attack wins.  The witness is a DAG that shares one node
-    per goal; the replay is memoised per node object, so a node met again
-    at a goal equal to its own is accepted without a second replay, and one
-    met at any other goal is rejected."""
+    and each reply's child must be the normal form of the goal that the
+    mode's instantiation rule gives, and must itself replay.  The witness is
+    finite and a node without replies is an attack the defender cannot
+    answer, so by induction every recorded attack wins its goal's normal
+    form.  That is enough, and up to congruence is sound, for the reason
+    ``verify_certificate`` relies on: congruent processes are bisimilar in
+    every mode and under every substitution, so a goal is refuted exactly
+    when the goal of its two normal forms is.  The witness is a DAG that
+    shares one node per goal; the replay is memoised per node object, so a
+    node met again at a goal equal to its own is accepted without a second
+    replay, and one met at any other goal, a congruent one included, is
+    rejected."""
     if result.bisimilar or result.witness is None:
         raise WitnessMalformed("only refutations carry a witness")
     game = _Game(result.mode)

@@ -113,21 +113,32 @@ def _subst_env(theta: Subst, env: tuple) -> tuple:
 
 
 def fresh_budget(a: Formula) -> int:
-    """Number of bound-input modality nodes in the formula."""
-    match a:
-        case TrueF() | FalseF():
-            return 0
-        case And(l, r) | Or(l, r):
-            return fresh_budget(l) + fresh_budget(r)
-        case MatchDia(_, _, body) | MatchBox(_, _, body):
-            return fresh_budget(body)
-        case FreeDia(_, body) | FreeBox(_, body):
-            return fresh_budget(body)
-        case OutDia(_, body) | OutBox(_, body):
-            return fresh_budget(body)
-        case _ if isinstance(a, _IN_NODES):
-            return 1 + fresh_budget(a.body)
-    raise TypeError(f"not a formula: {a!r}")
+    """Number of bound-input modality nodes in the formula, counted once per
+    occurrence in its tree; a subformula object shared by several
+    occurrences is visited once."""
+    memo: dict[int, int] = {}
+
+    def count(f: Formula) -> int:
+        n = memo.get(id(f))
+        if n is None:
+            match f:
+                case TrueF() | FalseF():
+                    n = 0
+                case And(l, r) | Or(l, r):
+                    n = count(l) + count(r)
+                case (
+                    MatchDia(_, _, body) | MatchBox(_, _, body) | FreeDia(_, body)
+                    | FreeBox(_, body) | OutDia(_, body) | OutBox(_, body)
+                ):
+                    n = count(body)
+                case _ if isinstance(f, _IN_NODES):
+                    n = 1 + count(f.body)
+                case _:
+                    raise TypeError(f"not a formula: {f!r}")
+            memo[id(f)] = n
+        return n
+
+    return count(a)
 
 
 _DUALS = {

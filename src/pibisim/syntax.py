@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from operator import attrgetter, is_
 
 # --------------------------------------------------------------------------- names
@@ -719,20 +719,22 @@ class Prefix:
 @lru_cache(maxsize=1024)
 def parse_prefix(text: str) -> Prefix:
     """Parse a comma list of "forall x" / "nabla x"; empty string allowed.
+    An error's position is the offset of the bad entry in ``text``.
     Memoised by text: a ``Prefix`` is immutable, and a bad text raises on
     every call, since a call that raises is not cached."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return Prefix(())
-    entries = []
+    entries, start = [], 0  # start: the offset of the current chunk
     for chunk in text.split(","):
         parts = chunk.split()
+        at = start + len(chunk) - len(chunk.lstrip())
         if len(parts) != 2 or parts[0] not in ("forall", "nabla"):
-            raise ParseError(0, ("forall IDENT", "nabla IDENT"), chunk.strip())
+            raise ParseError(at, ("forall IDENT", "nabla IDENT"), chunk.strip())
         quant, ident = parts
         if not IDENT_RE.fullmatch(ident) or ident in KEYWORDS:
-            raise ParseError(0, ("identifier",), ident)
+            raise ParseError(at, ("identifier",), ident)
         entries.append((quant, ident))
+        start += len(chunk) + 1
     return Prefix(tuple(entries))
 
 
@@ -913,27 +915,36 @@ def parse_process(text: str, defs: dict | None = None) -> Process:
     return _Parser(text, defs).parse()
 
 
+_DECL_RE = re.compile(r"\s*([a-z][a-zA-Z0-9_]*)\s*\(([^)]*)\)\s*:=\s*(.*?)\s*")
+
+
 def parse_decls(text: str) -> dict[str, tuple[list[str], Process]]:
     """Parse a declaration file: lines of ``ident(params) := proc`` with ``#``
-    comments.  Declarations may call earlier ones; recursion is rejected."""
+    comments.  Declarations may call earlier ones; recursion is rejected.  An
+    error's position is its offset in the whole text."""
     defs: dict[str, tuple[list[str], Process]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines(keepends=True)
+    for lineno, (raw, at) in enumerate(zip(lines, accumulate(map(len, lines), initial=0)), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        m = re.fullmatch(
-            r"([a-z][a-zA-Z0-9_]*)\s*\(([^)]*)\)\s*:=\s*(.*)", line
-        )
+        m = _DECL_RE.fullmatch(line)
         if not m:
-            raise ParseError(0, ("ident(params) := proc",), f"line {lineno}")
+            at += len(line) - len(line.lstrip())
+            raise ParseError(at, ("ident(params) := proc",), f"line {lineno}")
         ident, params_text, body_text = m.groups()
         if ident in defs:
-            raise ParseError(0, ("a fresh declaration name",), ident)
-        params = [p.strip() for p in params_text.split(",") if p.strip()]
-        for p in params:
+            raise ParseError(at + m.start(1), ("a fresh declaration name",), ident)
+        params = []
+        for pm in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", params_text):
+            p = pm.group()
             if not IDENT_RE.fullmatch(p) or p in KEYWORDS:
-                raise ParseError(0, ("parameter identifier",), p)
-        body = parse_process(body_text, defs)
+                raise ParseError(at + m.start(2) + pm.start(), ("parameter identifier",), p)
+            params.append(p)
+        try:
+            body = parse_process(body_text, defs)
+        except ParseError as e:
+            raise ParseError(at + m.start(3) + e.position, e.expected, e.found) from None
         defs[ident] = (params, body)
     return defs
 

@@ -7,6 +7,7 @@ import pytest
 
 import pibisim as pb
 from pibisim.bisim import Goal
+from pibisim.syntax import normal_form
 
 SANGIORGI_P = "x?(u).(tau.tau.0 + tau.0)"
 SANGIORGI_Q = "x?(u).(tau.tau.0 + tau.0 + tau.[u=z]tau.0)"
@@ -376,7 +377,7 @@ def _corruptions(case, res):
         "root goal as child": _edit(w, (0,), goal=w.goal),
     }
     if case == "open-input":
-        # below the root input a right tau with two replies, the second of
+        # below the root input a right tau with two replies, the first of
         # them a right tau under {z:=u}
         inner = w.replies[0].child
         out |= {
@@ -390,7 +391,7 @@ def _corruptions(case, res):
                 1,
                 child=inner.replies[0].child,
             ),
-            "theta dropped below": _edit(w, (0, 1), theta=pb.Subst()),
+            "theta dropped below": _edit(w, (0, 0), theta=pb.Subst()),
             "truncated below": _edit(w, (0,), replies=()),
         }
     elif case == "open-output":
@@ -507,6 +508,30 @@ class TestVerifyWitness:
             assert res.game.explain(replace(res.root)) is res.witness
             for goal, node in by_goal.items():
                 assert res.game.explain(replace(goal)) is node
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_goals_below_the_root_are_normal_forms(self, case):
+        res = _refutation(case)
+        todo = [r.child for r in res.witness.replies]
+        assert todo
+        while todo:
+            node = todo.pop()
+            for side in (node.goal.left, node.goal.right):
+                assert normal_form(side) == side
+            todo.extend(r.child for r in node.replies)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejects_a_congruent_child_goal_not_in_normal_form(self, case):
+        # 0 | P is congruent to P, so it plays the same game, but the
+        # instantiation rule gives the normal form P itself
+        res = _refutation(case)
+        child = res.witness.replies[0].child
+        for side in ("left", "right"):
+            p = getattr(child.goal, side)
+            variant = replace(child.goal, **{side: pb.Par(pb.NIL, p)})
+            assert normal_form(getattr(variant, side)) == p
+            corrupted = _edit(res.witness, (0,), goal=variant)
+            assert not pb.verify_witness(replace(res, witness=corrupted))
 
     def test_rejects_a_node_reused_at_another_goal(self):
         # below the root input a right tau with two replies whose goals differ;

@@ -56,6 +56,15 @@ class TestFreshBudget:
     def test_parsed(self):
         assert pb.fresh_budget(fml("[a?(x)]L [x=a]false", PFX_A)) == 1
 
+    def test_shared_subformula_counted_per_occurrence_visited_once(self):
+        small = InBoxL(Nabla(1), TRUE)
+        assert pb.fresh_budget(And(small, Or(small, small))) == 3
+        # 81 objects whose tree has 2**40 input modalities: a walk per
+        # occurrence would not finish, a walk per object is instant
+        f = InDiaL(Nabla(1), TRUE)
+        for i in range(40):
+            f = (And if i % 2 else Or)(f, MatchBox(Nabla(1), Nabla(2), f))
+        assert pb.fresh_budget(f) == 2**40
 
 class TestSatGround:
     def test_nil_true(self):

@@ -190,10 +190,14 @@ def test_each_term_reaches_lts_once_per_game_refuted(lts_requests):
 # sat_open_at in open mode and by sat_ground in late and early mode.  In the
 # last two open cases the formula has a [x=y] guard: the check instantiates
 # the process by the guard's unifier, a term the game only met through an
-# attack's substitution, so the check asks lts for it, once.
+# attack's substitution, so the check asks lts for it, once.  The game plays
+# every goal below the root on normal forms, but the formula is checked on
+# the raw processes, so in the first two open cases the check asks lts for a
+# raw continuation below the root that is not its own normal form (a sum
+# whose summands the normal form reorders), once.
 FORMULA_CASES = [
-    ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", True),
-    ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", True),
+    ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", False),
+    ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", False),
     ("late", "nabla x, nabla a", "x?(u).tau.0 + x?(v).0 + x?(w).[w=a]tau.0", "x?(u).tau.0 + x?(v).0",
      True),
     ("early", "nabla x, nabla a", "x?(u).(tau.0 + tau.tau.0)", "x?(u).tau.0 + x?(u).tau.tau.0", True),
@@ -285,6 +289,17 @@ def test_one_fail_node_per_witness_goal(monkeypatch, mode, prefix_text, left, ri
     assert len({id(n) for n in nodes}) == len(goals)
     if "|" in left:
         assert len(nodes) > len(goals)
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
+def test_one_witness_node_per_congruence_class(mode, prefix_text, left, right):
+    """Goals below the root are normal forms, so the witness has one node
+    object per distinct goal and one distinct goal per congruence class."""
+    res = _refute(mode, prefix_text, left, right)
+    nodes = _witness_nodes(res.witness)
+    goals = {n.goal for n in nodes}
+    classes = {canonical_key(res.game._normalised(g)) for g in goals}
+    assert len({id(n) for n in nodes}) == len(goals) == len(classes)
 
 
 @pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
@@ -476,10 +491,14 @@ def test_normal_form_steps_match_up_to_congruence():
 
 
 def _evidence(res, prefix):
+    """The verdict and, for a refutation, the formula's text and side, then
+    the number of distinct witness nodes; the witness must replay."""
     if res.bisimilar:
-        return True
+        return True, 0
     formula, side = pb.distinguishing_formula(res)
-    return False, repr(res.witness), pb.pretty_formula(formula, prefix), side
+    assert pb.verify_witness(res)
+    nodes = len({id(n) for n in _witness_nodes(res.witness)})
+    return (False, pb.pretty_formula(formula, prefix), side), nodes
 
 
 def _evidence_cases():
@@ -512,11 +531,17 @@ def _play(mode, prefix, p, q, distinct):
 
 
 def test_evidence_is_the_same_without_the_normal_form(monkeypatch):
+    """Verdicts, formulas and sides do not depend on the normal form; each
+    witness replays in its own setting, and the one played on normal forms
+    has no more nodes than the one played on raw terms."""
     cases = list(_evidence_cases())
     with_nf = [_play(*c) for c in cases]
     monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
-    assert [_play(*c) for c in cases] == with_nf
-    assert True in with_nf and any(e is not True for e in with_nf)
+    without_nf = [_play(*c) for c in cases]
+    assert [e for e, _ in without_nf] == [e for e, _ in with_nf]
+    assert all(on <= off for (_, on), (_, off) in zip(with_nf, without_nf))
+    verdicts = [e for e, _ in with_nf]
+    assert True in verdicts and any(e is not True for e in verdicts)
 
 
 # ------------------------------------------------------- the term layer

@@ -195,12 +195,24 @@ FORMULA_ERRORS = [
 PREFIX_ERRORS = [
     ("forall", 0, ("forall IDENT", "nabla IDENT"), "forall"),
     ("exists x", 0, ("forall IDENT", "nabla IDENT"), "exists x"),
-    ("forall x,", 0, ("forall IDENT", "nabla IDENT"), ""),
+    ("forall x,", 9, ("forall IDENT", "nabla IDENT"), ""),
     ("forall X", 0, ("identifier",), "X"),
     ("nabla tau", 0, ("identifier",), "tau"),
     ("forall x y", 0, ("forall IDENT", "nabla IDENT"), "forall x y"),
-    ("forall x,, nabla y", 0, ("forall IDENT", "nabla IDENT"), ""),
-    ("nabla x, forall 0", 0, ("identifier",), "0"),
+    ("forall x,, nabla y", 9, ("forall IDENT", "nabla IDENT"), ""),
+    ("nabla x, forall 0", 9, ("identifier",), "0"),
+    ("nabla x, nabla y, forall 0", 18, ("identifier",), "0"),
+    ("nabla x,  exists y", 10, ("forall IDENT", "nabla IDENT"), "exists y"),
+]
+
+# Declaration files: positions are offsets in the whole file text.
+DECL_ERRORS = [
+    ("d(x) := x!x.0\ne(a) := a?(u).tau 0\n", 32, ("'.'",), "0"),
+    ("d(x, 0) := 0", 5, ("parameter identifier",), "0"),
+    ("d(x) := 0 # c\ne(a, b c) := 0", 19, ("parameter identifier",), "b c"),
+    ("# c\n  d(x) := 0\n  d(y) := 0", 18, ("a fresh declaration name",), "d"),
+    ("d(x) := 0\n  oops\n", 12, ("ident(params) := proc",), "line 2"),
+    ("d(x) := 0\nr(x) := r(x)\n", 18, ("a declared identifier",), "r"),
 ]
 
 
@@ -211,6 +223,7 @@ def _parsers():
         "call": lambda text: pb.parse_process(text, defs),
         "formula": pb.parse_formula,
         "prefix": pb.parse_prefix,
+        "decls": pb.parse_decls,
     }
 
 
@@ -219,7 +232,8 @@ def _parsers():
     [("process", *row) for row in PROCESS_ERRORS]
     + [("call", *row) for row in CALL_ERRORS]
     + [("formula", *row) for row in FORMULA_ERRORS]
-    + [("prefix", *row) for row in PREFIX_ERRORS],
+    + [("prefix", *row) for row in PREFIX_ERRORS]
+    + [("decls", *row) for row in DECL_ERRORS],
 )
 def test_parse_error_is_pinned(parser, text, position, expected, found):
     with pytest.raises(pb.ParseError) as info:
