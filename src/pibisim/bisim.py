@@ -50,9 +50,12 @@ The distinguishing formula is folded from the same nodes, one modality per
 node, with no search: a diamond where the left side attacks, a box where the
 right one does.  An open box also meets the left side's moves that answer the
 attack only under a unifier, and the clause lists these conditional answers,
-one ``<x=y>true`` guard each.  The formula is machine-checked against both
-of the user's processes, as given, before it is returned; that check reads
-successors from the game's own table where it has them.
+one ``<x=y>true`` guard each.  The formula is machine-checked on both sides
+before it is returned, where the game plays: each process as given at the
+root, and every continuation below it in the game's normal form, so the
+check reads its successors from the game's own table.  The check is one
+memoised walk (``modal._Walk``) shared by both sides, so a subformula that
+the formula shares is checked once per term.
 """
 
 from __future__ import annotations
@@ -450,15 +453,24 @@ class _Game:
         return _guard(node.theta, core)
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
-        """Machine-check ``f`` on both sides, reading successors from this
-        game's table, which already holds most of the terms the check meets."""
-        d, ne, table = goal.depth, goal.next_eigen, self.table
+        """Machine-check that ``f`` holds on ``goal.left`` and not on
+        ``goal.right``, where the game plays: each side as given at the
+        root, and every continuation below it that the game has met in its
+        normal form, so the check reads its successors from the game's
+        table.  A continuation the game never met is checked as it is: its
+        normal form would be computed only to miss the table.  Satisfaction
+        is invariant under the mode's bisimilarity, and congruent processes
+        are bisimilar, so the normal forms decide it as the raw terms would.
+        Both sides share one walk memo, so a subformula is checked once per
+        term however often the formula shares it."""
+        d, ne, nf = goal.depth, goal.next_eigen, self.nf
+        walk = dict(table=self.table, normal=lambda p: nf.get(p, p), memo={})
         if self.mode == "open":
-            return M.sat_open_at(goal.left, f, d, ne, table) and not M.sat_open_at(
-                goal.right, f, d, ne, table
+            return M.sat_open_at(goal.left, f, d, ne, **walk) and not M.sat_open_at(
+                goal.right, f, d, ne, **walk
             )
-        return M.sat_ground(goal.left, f, depth=d, table=table) and not M.sat_ground(
-            goal.right, f, depth=d, table=table
+        return M.sat_ground(goal.left, f, depth=d, **walk) and not M.sat_ground(
+            goal.right, f, depth=d, **walk
         )
 
     _ENUM_CAP = 50_000
@@ -571,7 +583,9 @@ def early_bisim(
 def distinguishing_formula(result: BisimResult) -> tuple[M.Formula, str]:
     """A formula holding on exactly one side of a refuted root, paired with
     the side (``"left"``/``"right"``) it holds on.  The formula is folded from
-    the witness (``_Game._compose``) and checked on both processes.  In open
+    the witness (``_Game._compose``) and checked on both processes where the
+    game plays: at the root as given, and on normal forms below it
+    (``_Game._holds_left_only``).  In open
     mode a late-input box reads its received name over the names in scope, so
     the box of an input attack by the right side may also hold on the right;
     then the formula folded for the mirrored root, where that attack is a

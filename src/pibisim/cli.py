@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -91,6 +92,10 @@ _INPUT_ERRORS = (
 )
 
 
+# The status a shell reports for a process that SIGPIPE ended (128 + 13).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -98,7 +103,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left early is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): nothing is wrong with the
+        # input, so say nothing, and send the unflushed rest to devnull so
+        # that the interpreter's flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as e:
         print(f"error: {_describe(e)}", file=sys.stderr)
         return 2

@@ -6,15 +6,24 @@ are enumerated over the scoped constants in scope plus a budgeted supply of
 fresh ones (one per bound-input modality on the path).  Open mode works under
 a mixed forall/nabla prefix without case analysis on eigenvariables: boxes
 quantify over every symbolic transition branch, diamonds must succeed without
-instantiating anything, and input universals introduce fresh eigenvariables.
-Open mode is restricted to the sublogic whose modalities are tau, free
-output, bound output, match, and late bound input (with their duals).
+instantiating anything, an input diamond opens a fresh eigenvariable and an
+input box reads the names in scope.  Open mode is restricted to the sublogic
+whose modalities are tau, free output, bound output, match, and late bound
+input (with their duals).
 
-Both checks walk the formula as it is, with an environment of the names
-opened at the binders crossed so far: ``Bound(i)`` reads as ``env[i]``, so a
-bound modality opens its body by extending the environment, not by
-rebuilding the body.  Where open mode instantiates by a substitution, it
-maps the environment's names through it along with the body.
+Both modes are one walk (``_Walk``), and a small table (``_Mode``) says what
+a mode changes: how a box meets a transition and which names an input
+modality reads.  The walk reads the formula as it is, with an environment of
+the names opened at the binders crossed so far: ``Bound(i)`` reads as
+``env[i]``, so a bound modality opens its body by extending the environment,
+not by rebuilding the body, and a substitution maps the environment's names
+along with the body.  Each modality is evaluated once per (term, formula
+object, depth, budget or next eigenvariable, environment), so a subformula
+that a formula shares is checked once per term.  A caller may put every
+continuation below the root in a congruent normal form, as a bisimulation
+game does when it checks its distinguishing formula: satisfaction is
+invariant under each mode's bisimilarity, and congruent processes are
+bisimilar in every mode, so the verdict is that of the term as written.
 
 The formula constructors, their name walk and binder operations are
 ``syntax``'s; the constructors are re-exported here.
@@ -23,6 +32,8 @@ The formula constructors, their name walk and binder operations are
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .syntax import (
     Action,
@@ -70,7 +81,7 @@ from .syntax import (
     _Namer,
     _TokenParser,
 )
-from .lts import tabled_successors
+from .lts import Transition, tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
 
 
@@ -141,28 +152,23 @@ def fresh_budget(a: Formula) -> int:
     return count(a)
 
 
-_DUALS = {
-    TrueF: lambda f: FALSE,
-    FalseF: lambda f: TRUE,
-    And: lambda f: Or(dual(f.left), dual(f.right)),
-    Or: lambda f: And(dual(f.left), dual(f.right)),
-    MatchDia: lambda f: MatchBox(f.left, f.right, dual(f.body)),
-    MatchBox: lambda f: MatchDia(f.left, f.right, dual(f.body)),
-    FreeDia: lambda f: FreeBox(f.action, dual(f.body)),
-    FreeBox: lambda f: FreeDia(f.action, dual(f.body)),
-    OutDia: lambda f: OutBox(f.ch, dual(f.body)),
-    OutBox: lambda f: OutDia(f.ch, dual(f.body)),
-    InDia: lambda f: InBox(f.ch, dual(f.body)),
-    InBox: lambda f: InDia(f.ch, dual(f.body)),
-    InDiaL: lambda f: InBoxL(f.ch, dual(f.body)),
-    InBoxL: lambda f: InDiaL(f.ch, dual(f.body)),
-    InDiaE: lambda f: InBoxE(f.ch, dual(f.body)),
-    InBoxE: lambda f: InDiaE(f.ch, dual(f.body)),
-}
+_OPPOSITE = {TrueF: FalseF, And: Or, MatchDia: MatchBox, FreeDia: FreeBox, OutDia: OutBox}
+_OPPOSITE |= {InDia: InBox, InDiaL: InBoxL, InDiaE: InBoxE}
+_OPPOSITE |= {v: k for k, v in _OPPOSITE.items()}
 
 
 def dual(f: Formula) -> Formula:
-    return _DUALS[type(f)](f)
+    """The negation of ``f``: each node swapped for its opposite, over the
+    duals of its subformulas."""
+    opposite = _OPPOSITE[type(f)]
+    match f:
+        case TrueF() | FalseF():
+            return opposite()
+        case And(l, r) | Or(l, r):
+            return opposite(dual(l), dual(r))
+        case MatchDia(x, y, body) | MatchBox(x, y, body):
+            return opposite(x, y, dual(body))
+    return opposite(getattr(f, f.__match_args__[0]), dual(f.body))
 
 
 def _first_non_lm(f: Formula) -> str:
@@ -183,98 +189,7 @@ def _first_non_lm(f: Formula) -> str:
             return type(f).__name__
 
 
-# --------------------------------------------------------------------- ground mode
-
-
-def sat_ground(
-    p: Process,
-    a: Formula,
-    extra_names: int | None = None,
-    depth: int | None = None,
-    table: dict | None = None,
-) -> bool:
-    """Classical satisfaction under an all-nabla prefix.  ``extra_names``
-    bounds how many fresh constants the name quantifiers may consume; it
-    defaults to the formula's fresh budget.  ``table`` is a successor table
-    for ``lts.tabled_successors``, such as a bisimulation game's; by default
-    the check starts its own, so it asks ``lts`` once per term."""
-    if depth is None:
-        levels = [n.level for n in free_names(p) | free_names(a) if isinstance(n, Nabla)]
-        depth = max(levels, default=0)
-    budget = fresh_budget(a) if extra_names is None else extra_names
-    return _sat(p, a, depth, budget, {} if table is None else table, ())
-
-
-def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
-    cands: list[tuple[Name, int, int]] = [(Nabla(l), depth, budget) for l in range(1, depth + 1)]
-    if budget > 0:
-        cands.append((Nabla(depth + 1), depth + 1, budget - 1))
-    return cands
-
-
-def _sat(p: Process, a: Formula, depth: int, budget: int, table: dict, env: tuple) -> bool:
-    match a:
-        case TrueF():
-            return True
-        case FalseF():
-            return False
-        case And(l, r):
-            return _sat(p, l, depth, budget, table, env) and _sat(p, r, depth, budget, table, env)
-        case Or(l, r):
-            return _sat(p, l, depth, budget, table, env) or _sat(p, r, depth, budget, table, env)
-        case MatchDia(x, y, body):
-            return _name_at(x, env) == _name_at(y, env) and _sat(p, body, depth, budget, table, env)
-        case MatchBox(x, y, body):
-            return _name_at(x, env) != _name_at(y, env) or _sat(p, body, depth, budget, table, env)
-        case FreeDia(act, body):
-            act = _action_at(act, env)
-            return any(
-                _sat(t.cont, body, depth, budget, table, env)
-                for t in tabled_successors(p, depth, table)[0]
-                if t.action == act
-            )
-        case FreeBox(act, body):
-            act = _action_at(act, env)
-            return all(
-                _sat(t.cont, body, depth, budget, table, env)
-                for t in tabled_successors(p, depth, table)[0]
-                if t.action == act
-            )
-        case OutDia(ch, body) | OutBox(ch, body):
-            w = Nabla(depth + 1)
-            act, inner = BoundOut(_name_at(ch, env)), (w,) + env
-            some = any if isinstance(a, OutDia) else all
-            return some(
-                _sat(open_abs(t.cont, w), body, depth + 1, budget, table, inner)
-                for t in tabled_successors(p, depth, table)[1]
-                if t.action == act
-            )
-    # input modalities: quantifier nesting differs per flavour
-    act = BoundIn(_name_at(a.ch, env))
-    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == act]
-    cands = _in_candidates(depth, budget)
-
-    def hold(t, cand) -> bool:
-        w, d2, b2 = cand
-        return _sat(open_abs(t.cont, w), a.body, d2, b2, table, (w,) + env)
-
-    match a:
-        case InDia(_, _):
-            return any(any(hold(t, c) for c in cands) for t in ts)
-        case InBox(_, _):
-            return all(all(hold(t, c) for c in cands) for t in ts)
-        case InDiaL(_, _):
-            return any(all(hold(t, c) for c in cands) for t in ts)
-        case InBoxL(_, _):
-            return all(any(hold(t, c) for c in cands) for t in ts)
-        case InDiaE(_, _):
-            return all(any(hold(t, c) for t in ts) for c in cands)
-        case InBoxE(_, _):
-            return any(all(hold(t, c) for t in ts) for c in cands)
-    raise TypeError(f"not a formula: {a!r}")
-
-
-# ----------------------------------------------------------------------- open mode
+# ------------------------------------------------------------ the satisfaction walk
 
 
 def unify_actions(a: Action, b: Action) -> Subst | None:
@@ -295,126 +210,207 @@ def unify_actions(a: Action, b: Action) -> Subst | None:
             return None
 
 
+def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
+    cands: list[tuple[Name, int, int]] = [(Nabla(l), depth, budget) for l in range(1, depth + 1)]
+    if budget > 0:
+        cands.append((Nabla(depth + 1), depth + 1, budget - 1))
+    return cands
+
+
+@dataclass(frozen=True, slots=True)
+class _Mode:
+    """What a checking mode changes in the walk.  ``match`` is the unifier
+    a ``[x=y]`` box reads its body under, or None if ``x=y`` cannot hold;
+    ``meet`` is how a box meets a transition, as the pair (rho, sigma) of
+    the unifier for the continuation and the one for the body, or None, and
+    is None itself where a box meets the transitions a diamond meets;
+    ``received`` lists the names an input modality reads, each with the
+    depth and counter its body is read at; ``inputs`` are the input
+    modalities the mode reads."""
+
+    match: Callable[[Name, Name], Subst | None]
+    meet: Callable[[Transition, Action], tuple[Subst, Subst] | None] | None
+    received: Callable[[bool, Process, tuple, int, int], list[tuple[Name, int, int]]]
+    inputs: tuple[type, ...]
+
+
+# Ground mode: every theta is the identity, so a box meets the transitions
+# whose action equals its own, as a diamond does, and an input modality
+# reads the scoped constants plus one fresh constant while the budget lasts.
+_GROUND = _Mode(
+    match=lambda x, y: IDENTITY if x == y else None,
+    meet=None,
+    received=lambda box, p, m, depth, budget: _in_candidates(depth, budget),
+    inputs=_IN_NODES,
+)
+
+
+def _open_meet(t: Transition, act: Action) -> tuple[Subst, Subst] | None:
+    rho = unify_actions(t.theta(act), t.action)
+    return None if rho is None else (rho, compose(rho, t.theta))
+
+
+def _open_received(box: bool, p: Process, m: tuple, depth: int, next_eigen: int) -> list:
+    """A late input diamond reads one fresh eigenvariable; a late input box
+    reads each name in scope: the scoped constants, and the eigenvariables of
+    the continuation, the body and the instantiated process."""
+    if not box:
+        return [(Eigen(next_eigen, depth), depth, next_eigen + 1)]
+    cont, body, env, sigma = m
+    names = free_names(cont) | formula_names(body, env, 1) | free_names(sigma(p))
+    scope = [Nabla(l) for l in range(1, depth + 1)]
+    scope += sorted({n for n in names if isinstance(n, Eigen)}, key=lambda e: e.id)
+    return [(y, depth, next_eigen) for y in scope]
+
+
+# Open mode: a box meets every transition whose action unifies with its own
+# in the transition's world.
+_OPEN = _Mode(
+    match=unify_names,
+    meet=_open_meet,
+    received=_open_received,
+    inputs=(InDiaL, InBoxL),
+)
+
+# Per modality: whether it is a box, whether its outer quantifier is "some",
+# whether its inner one is, and whether the outer one ranges over received
+# names (early), not over transitions.
+_DIA, _BOX = (False, True, False, False), (True, False, True, False)
+_SHAPES = {FreeDia: _DIA, OutDia: _DIA, InDiaL: _DIA, FreeBox: _BOX, OutBox: _BOX, InBoxL: _BOX}
+_SHAPES |= {InDia: (False, True, True, False), InBox: (True, False, False, False)}
+_SHAPES |= {InDiaE: (False, False, True, True), InBoxE: (True, True, False, True)}
+
+
+def _as_is(p: Process) -> Process:
+    return p
+
+
+class _Walk:
+    """One satisfaction check: its mode, its successor table, the normal
+    form its continuations are put in, and its memo, which maps (term,
+    id(formula), depth, budget or next eigenvariable, environment) to the
+    verdict and the formula, kept so that its id is not reused."""
+
+    __slots__ = ("mode", "table", "normal", "memo")
+
+    def __init__(
+        self, mode: _Mode, table: dict | None, normal: Callable | None, memo: dict | None
+    ):
+        self.mode = mode
+        self.table = {} if table is None else table
+        self.normal = _as_is if normal is None else normal
+        self.memo = {} if memo is None else memo
+
+    def sat(self, p: Process, a: Formula, depth: int, k: int, env: tuple) -> bool:
+        match a:
+            case TrueF():
+                return True
+            case FalseF():
+                return False
+            case And(l, r):
+                return self.sat(p, l, depth, k, env) and self.sat(p, r, depth, k, env)
+            case Or(l, r):
+                return self.sat(p, l, depth, k, env) or self.sat(p, r, depth, k, env)
+            case MatchDia(x, y, body):
+                # proving an equality outright: the names must already coincide
+                return _name_at(x, env) == _name_at(y, env) and self.sat(p, body, depth, k, env)
+            case MatchBox(x, y, body):
+                rho = self.mode.match(_name_at(x, env), _name_at(y, env))
+                if rho is None:
+                    return True  # the hypothesis x=y can never hold
+                if rho.is_identity():
+                    return self.sat(p, body, depth, k, env)
+                return self.sat(self.normal(rho(p)), rho(body), depth, k, _subst_env(rho, env))
+        key = (p, id(a), depth, k, env)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = (self._modal(p, a, depth, k, env), a)
+        return hit[0]
+
+    def _modal(self, p: Process, a: Formula, depth: int, k: int, env: tuple) -> bool:
+        """A modality: the transitions it meets, each with the names its
+        continuation opens at, under the modality's two quantifiers."""
+        mode = self.mode
+        if isinstance(a, (FreeDia, FreeBox)):
+            bound, act, opens = 0, _action_at(a.action, env), [(None, depth, k)]
+        elif isinstance(a, (OutDia, OutBox)):
+            bound, act = 1, BoundOut(_name_at(a.ch, env))
+            opens = [(Nabla(depth + 1), depth + 1, k)]
+        elif isinstance(a, mode.inputs):
+            bound, act, opens = 1, BoundIn(_name_at(a.ch, env)), None
+        elif isinstance(a, _IN_NODES):
+            raise FormulaOutsideLM(type(a).__name__)
+        else:
+            raise TypeError(f"not a formula: {a!r}")
+        box, outer_some, inner_some, names_first = _SHAPES[type(a)]
+        instantiate, body, met = mode.meet if box else None, a.body, []
+        for t in tabled_successors(p, depth, self.table)[bound]:
+            if instantiate is None:  # met only as it is, with nothing to instantiate
+                if t.action == act and t.theta.is_identity():
+                    met.append((t.cont, body, env, IDENTITY))
+            elif (pair := instantiate(t, act)) is not None:
+                rho, sigma = pair
+                met.append((rho(t.cont), sigma(body), _subst_env(sigma, env), sigma))
+        for x in mode.received(box, p, None, depth, k) if names_first else met:
+            verdict = not inner_some
+            for y in met if names_first else opens or mode.received(box, p, x, depth, k):
+                (cont, b, e, _sigma), (w, d, k2) = (y, x) if names_first else (x, y)
+                if w is not None:
+                    cont, e = open_abs(cont, w), (w,) + e
+                if self.sat(self.normal(cont), b, d, k2, e) == inner_some:
+                    verdict = inner_some
+                    break
+            if verdict == outer_some:
+                return outer_some
+        return not outer_some
+
+
+def sat_ground(
+    p: Process,
+    a: Formula,
+    extra_names: int | None = None,
+    depth: int | None = None,
+    table: dict | None = None,
+    normal: Callable[[Process], Process] | None = None,
+    memo: dict | None = None,
+) -> bool:
+    """Classical satisfaction under an all-nabla prefix.  ``extra_names``
+    bounds how many fresh constants the name quantifiers may consume; it
+    defaults to the formula's fresh budget.  ``table`` is a successor table
+    for ``lts.tabled_successors``, such as a bisimulation game's; by default
+    the check starts its own, so it asks ``lts`` once per term.  ``normal``
+    maps each continuation below ``p`` to a congruent term, by default the
+    continuation itself; ``memo`` is the walk's memo, by default its own."""
+    if depth is None:
+        levels = [n.level for n in free_names(p) | free_names(a) if isinstance(n, Nabla)]
+        depth = max(levels, default=0)
+    budget = fresh_budget(a) if extra_names is None else extra_names
+    return _Walk(_GROUND, table, normal, memo).sat(p, a, depth, budget, ())
+
+
 def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
     """Provability of the prefix-quantified satisfaction judgment, without
     excluded middle on eigenvariables."""
-    bad = _first_non_lm(a)
-    if bad:
+    if bad := _first_non_lm(a):
         raise FormulaOutsideLM(bad)
     return sat_open_at(p, a, prefix.nabla_count, prefix.eigen_count + 1)
 
 
 def sat_open_at(
-    p: Process, a: Formula, depth: int, next_eigen: int, table: dict | None = None, env: tuple = ()
+    p: Process,
+    a: Formula,
+    depth: int,
+    next_eigen: int,
+    table: dict | None = None,
+    env: tuple = (),
+    normal: Callable[[Process], Process] | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """Open satisfaction at nabla depth ``depth`` with eigenvariables from
-    ``next_eigen`` on still unused; ``table`` is as in ``sat_ground``, and
-    ``env`` holds the names opened at the binders crossed so far, as in
-    ``_name_at``."""
-    if table is None:
-        table = {}
-    match a:
-        case TrueF():
-            return True
-        case FalseF():
-            return False
-        case And(l, r):
-            return sat_open_at(p, l, depth, next_eigen, table, env) and sat_open_at(
-                p, r, depth, next_eigen, table, env
-            )
-        case Or(l, r):
-            return sat_open_at(p, l, depth, next_eigen, table, env) or sat_open_at(
-                p, r, depth, next_eigen, table, env
-            )
-        case MatchDia(x, y, body):
-            # proving an equality outright: the names must already coincide
-            return _name_at(x, env) == _name_at(y, env) and sat_open_at(
-                p, body, depth, next_eigen, table, env
-            )
-        case MatchBox(x, y, body):
-            rho = unify_names(_name_at(x, env), _name_at(y, env))
-            if rho is None:
-                return True  # the hypothesis x=y can never hold
-            body, env = rho(body), _subst_env(rho, env)
-            return sat_open_at(rho(p), body, depth, next_eigen, table, env)
-        case FreeDia(act, body):
-            act = _action_at(act, env)
-            return any(
-                sat_open_at(t.cont, body, depth, next_eigen, table, env)
-                for t in tabled_successors(p, depth, table)[0]
-                if t.theta.is_identity() and t.action == act
-            )
-        case FreeBox(act, body):
-            act = _action_at(act, env)
-            for t in tabled_successors(p, depth, table)[0]:
-                rho = unify_actions(t.theta(act), t.action)
-                if rho is None:
-                    continue
-                sigma = compose(rho, t.theta)
-                if not sat_open_at(
-                    rho(t.cont),
-                    sigma(body),
-                    depth,
-                    next_eigen,
-                    table,
-                    _subst_env(sigma, env),
-                ):
-                    return False
-            return True
-        case OutDia(ch, body):
-            w, act = Nabla(depth + 1), BoundOut(_name_at(ch, env))
-            return any(
-                sat_open_at(open_abs(t.cont, w), body, depth + 1, next_eigen, table, (w,) + env)
-                for t in tabled_successors(p, depth, table)[1]
-                if t.theta.is_identity() and t.action == act
-            )
-        case OutBox(ch, body):
-            w, ch = Nabla(depth + 1), _name_at(ch, env)
-            for t in tabled_successors(p, depth, table)[1]:
-                if not isinstance(t.action, BoundOut):
-                    continue
-                rho = unify_names(t.theta.name(ch), t.action.ch)
-                if rho is None:
-                    continue
-                sigma = compose(rho, t.theta)
-                if not sat_open_at(
-                    open_abs(rho(t.cont), w),
-                    sigma(body),
-                    depth + 1,
-                    next_eigen,
-                    table,
-                    (w,) + _subst_env(sigma, env),
-                ):
-                    return False
-            return True
-        case InDiaL(ch, body):
-            w, act = Eigen(next_eigen, depth), BoundIn(_name_at(ch, env))
-            return any(
-                sat_open_at(open_abs(t.cont, w), body, depth, next_eigen + 1, table, (w,) + env)
-                for t in tabled_successors(p, depth, table)[1]
-                if t.theta.is_identity() and t.action == act
-            )
-        case InBoxL(ch, body):
-            ch = _name_at(ch, env)
-            for t in tabled_successors(p, depth, table)[1]:
-                if not isinstance(t.action, BoundIn):
-                    continue
-                rho = unify_names(t.theta.name(ch), t.action.ch)
-                if rho is None:
-                    continue
-                sigma = compose(rho, t.theta)
-                cont = rho(t.cont)
-                body_i, env_i = sigma(body), _subst_env(sigma, env)
-                scope = [Nabla(l) for l in range(1, depth + 1)]
-                names = free_names(cont) | formula_names(body_i, env_i, 1) | free_names(sigma(p))
-                scope += sorted({n for n in names if isinstance(n, Eigen)}, key=lambda e: e.id)
-                if not any(
-                    sat_open_at(open_abs(cont, y), body_i, depth, next_eigen, table, (y,) + env_i)
-                    for y in scope
-                ):
-                    return False
-            return True
-    raise FormulaOutsideLM(type(a).__name__)
+    ``next_eigen`` on still unused; ``table``, ``normal`` and ``memo`` are
+    as in ``sat_ground``, and ``env`` holds the names opened at the binders
+    crossed so far, as in ``_name_at``."""
+    return _Walk(_OPEN, table, normal, memo).sat(p, a, depth, next_eigen, env)
 
 
 # ------------------------------------------------------------------ surface syntax

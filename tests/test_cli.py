@@ -1,12 +1,13 @@
 """Command-line interface: golden outputs, exit codes, JSON schema."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from pibisim.cli import main
+from pibisim.cli import EXIT_BROKEN_PIPE, main
 
 
 def run(capsys, *argv):
@@ -336,6 +337,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["{} ; tau ; 0"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_not_an_error(self, unbuffered):
+        """A reader that stops reading early, as ``| head -1`` does, gets no
+        error message and the documented exit code, and nothing is reported
+        when the interpreter exits.  Buffered, the 3 KB of output first
+        reach the closed pipe when main flushes stdout; unbuffered, at the
+        first line printed."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pibisim.cli", "lts", "--prefix", "nabla x",
+             "x!x.0 | x?(u).0 | x!x.0 | x?(u).0 | tau.0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_deterministic_output(self, capsys):
         outs = set()

@@ -14,6 +14,7 @@ from pibisim.modal import (
     TRUE,
     And,
     FreeBox,
+    FreeDia,
     InBoxL,
     InDia,
     InDiaE,
@@ -25,7 +26,7 @@ from pibisim.modal import (
     enumerate_lm,
     sat_open_at,
 )
-from pibisim.syntax import Bound, Nabla, Nil
+from pibisim.syntax import Bound, Nabla, Nil, normal_form
 
 NIL = Nil()
 
@@ -363,3 +364,168 @@ class TestEnvironmentWalk:
                 assert verdict == ref.sat_open_at(p, f, depth, ne, table), (p, f)
                 seen.add((verdict, "MatchBox" in repr(f)))
         assert seen == {(v, b) for v in (True, False) for b in (True, False)}
+
+
+# ------------------------------------------------ satisfaction up to congruence
+
+C9_NAMES = ("a", "b", "c")
+
+
+def oracle_formula(f, names, binders=(), counter=None):
+    """An engine formula as an ``oracles`` formula tuple: scoped constant
+    ``Nabla(l)`` is ``names[l - 1]``, and each binder gets a fresh name."""
+    counter = [0] if counter is None else counter
+
+    def nm(n):
+        return binders[n.index] if isinstance(n, Bound) else names[n.level - 1]
+
+    def go(g, bs):
+        return oracle_formula(g, names, bs, counter)
+
+    match f:
+        case pb.modal.TrueF():
+            return ("true",)
+        case pb.modal.FalseF():
+            return ("false",)
+        case And(l, r) | Or(l, r):
+            return ("and" if isinstance(f, And) else "or", go(l, binders), go(r, binders))
+        case MatchDia(x, y, body) | MatchBox(x, y, body):
+            return ("mdia" if isinstance(f, MatchDia) else "mbox", nm(x), nm(y), go(body, binders))
+        case FreeDia(act, body) | FreeBox(act, body):
+            a = ("tau",) if act == pb.TAU else ("out", nm(act.ch), nm(act.obj))
+            return ("fdia" if isinstance(f, FreeDia) else "fbox", a, go(body, binders))
+    counter[0] += 1
+    z = f"fb{counter[0]}"
+    tag = {
+        OutDia: "odia", pb.modal.OutBox: "obox", InDia: "idia", pb.modal.InBox: "ibox",
+        InDiaL: "idial", InBoxL: "iboxl", InDiaE: "idiae", pb.modal.InBoxE: "iboxe",
+    }[type(f)]
+    return (tag, nm(f.ch), z, go(f.body, (z,) + binders))
+
+
+def criterion_09_refutations():
+    """Criterion 9's pairs, with their modes, prefixes and folded formulas."""
+    rng = random.Random(77)
+    for i in range(400):
+        p, q = corpus.random_pair(rng, max_prefixes=4, names=C9_NAMES)
+        mode = ("open", "late", "early")[i % 3]
+        if mode == "open":
+            quants = tuple(rng.choice(("forall", "nabla")) for _ in C9_NAMES)
+            prefix = pb.parse_prefix(", ".join(f"{k} {n}" for k, n in zip(quants, C9_NAMES)))
+            res = pb.open_bisim(enc_tuple(p, prefix), enc_tuple(q, prefix), prefix)
+        else:
+            prefix = make_prefix(C9_NAMES)
+            fn = pb.late_bisim if mode == "late" else pb.early_bisim
+            res = fn(enc_tuple(p, prefix), enc_tuple(q, prefix), len(C9_NAMES))
+        if not res.bisimilar:
+            yield mode, (p, q), res, pb.distinguishing_formula(res)[0]
+
+
+class TestNormalFormInvariance:
+    """Satisfaction is invariant under bisimilarity and congruent processes
+    are bisimilar, so a formula check may play where the game plays: on the
+    term as given, on its normal form, or with every continuation below it
+    put in normal form (``normal=``) all give the independent reference's
+    verdict on the term as given.  The reference is ``oracles.o_sat`` in
+    ground mode and ``modal_reference.sat_open_at`` in open mode."""
+
+    @staticmethod
+    def ground_verdicts(p_tuple, f, prefix, depth):
+        p, budget = enc_tuple(p_tuple, prefix), pb.fresh_budget(f)
+        expected = oracles.o_sat(p_tuple, oracle_formula(f, C9_NAMES), C9_NAMES, budget)
+        got = {
+            pb.sat_ground(p, f, budget, depth=depth),
+            pb.sat_ground(normal_form(p), f, budget, depth=depth),
+            pb.sat_ground(p, f, budget, depth=depth, normal=normal_form),
+        }
+        return expected, got, p != normal_form(p)
+
+    @staticmethod
+    def open_verdicts(p, f, depth, ne):
+        expected = ref.sat_open_at(p, f, depth, ne, {})
+        got = {
+            sat_open_at(p, f, depth, ne),
+            sat_open_at(normal_form(p), f, depth, ne),
+            sat_open_at(p, f, depth, ne, normal=normal_form),
+        }
+        return expected, got, p != normal_form(p)
+
+    @staticmethod
+    def two_steps(prefix):
+        """``<a><b>true`` for every two free actions over the names: they
+        tell ``P | Q`` from ``P + Q`` and ``P | P`` from ``P``, which random
+        formulas rarely do, so a normal form that breaks congruence changes
+        one of their verdicts."""
+        names = [prefix.name_map()[n] for n in C9_NAMES]
+        acts = [pb.TAU] + [pb.FreeOut(x, y) for x in names for y in names]
+        return [FreeDia(a, FreeDia(b, TRUE)) for a in acts for b in acts]
+
+    @staticmethod
+    def same_on_two_steps(p, formulas, check):
+        """The three readings agree on every formula, where ``check(p, f,
+        **kw)`` is the mode's satisfaction check."""
+        for f in formulas:
+            got = {check(p, f), check(normal_form(p), f), check(p, f, normal=normal_form)}
+            assert len(got) == 1, (p, f)
+
+    def test_criterion_09_formulas(self):
+        seen, unnormal = set(), 0
+        for mode, tuples, res, f in criterion_09_refutations():
+            root = res.root
+            for p_tuple, p in zip(tuples, (root.left, root.right)):
+                if mode == "open":
+                    expected, got, moved = self.open_verdicts(p, f, root.depth, root.next_eigen)
+                else:
+                    prefix = make_prefix(C9_NAMES)
+                    expected, got, moved = self.ground_verdicts(p_tuple, f, prefix, len(C9_NAMES))
+                assert got == {expected}, (mode, corpus.to_text(p_tuple), f)
+                seen.add((mode, expected))
+                unnormal += moved
+        assert seen == {(m, v) for m in ("open", "late", "early") for v in (True, False)}
+        assert unnormal >= 50
+
+    def test_random_ground_formulas(self):
+        rng = random.Random(4242)
+        prefix, seen, unnormal = make_prefix(C9_NAMES), set(), 0
+        steps = self.two_steps(prefix)
+
+        def check(p, f, **kw):
+            return pb.sat_ground(p, f, 0, depth=len(C9_NAMES), **kw)
+
+        for _ in range(300):
+            p_tuple = corpus.random_proc(rng, max_prefixes=4, names=C9_NAMES)
+            f = oracles.random_formula(rng, rng.randint(1, 3), C9_NAMES)
+            f = fml(oracles.formula_to_text(f), prefix)
+            expected, got, moved = self.ground_verdicts(p_tuple, f, prefix, len(C9_NAMES))
+            assert got == {expected}, (corpus.to_text(p_tuple), f)
+            seen.add(expected)
+            if moved:
+                unnormal += 1
+                self.same_on_two_steps(enc_tuple(p_tuple, prefix), steps, check)
+        assert seen == {True, False}
+        assert unnormal >= 30
+
+    @pytest.mark.parametrize(
+        "prefix_text", ["forall a, forall b, nabla c", "nabla a, forall b, forall c"]
+    )
+    def test_random_open_formulas(self, prefix_text):
+        prefix = pb.parse_prefix(prefix_text)
+        depth, ne = prefix.nabla_count, prefix.eigen_count + 1
+        rng = random.Random(prefix_text)
+        seen, unnormal, steps = set(), 0, self.two_steps(prefix)
+
+        def check(p, f, **kw):
+            return sat_open_at(p, f, depth, ne, **kw)
+
+        for _ in range(300):
+            p = enc_tuple(corpus.random_proc(rng, max_prefixes=4, names=C9_NAMES), prefix)
+            f = oracles.random_formula(rng, rng.randint(1, 3), C9_NAMES, lm_only=True)
+            f = fml(oracles.formula_to_text(f), prefix)
+            expected, got, moved = self.open_verdicts(p, f, depth, ne)
+            assert got == {expected}, (p, f)
+            seen.add(expected)
+            if moved:
+                unnormal += 1
+                self.same_on_two_steps(p, steps, check)
+        assert seen == {True, False}
+        assert unnormal >= 30

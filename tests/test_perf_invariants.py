@@ -190,14 +190,13 @@ def test_each_term_reaches_lts_once_per_game_refuted(lts_requests):
 # sat_open_at in open mode and by sat_ground in late and early mode.  In the
 # last two open cases the formula has a [x=y] guard: the check instantiates
 # the process by the guard's unifier, a term the game only met through an
-# attack's substitution, so the check asks lts for it, once.  The game plays
-# every goal below the root on normal forms, but the formula is checked on
-# the raw processes, so in the first two open cases the check asks lts for a
-# raw continuation below the root that is not its own normal form (a sum
-# whose summands the normal form reorders), once.
+# attack's substitution, so the check asks lts for it, once.  The check puts
+# every continuation below the root in the game's normal form, as the game
+# does, so in the first two open cases, whose continuations are sums that
+# the normal form reorders, it reads every term from the game's table.
 FORMULA_CASES = [
-    ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", False),
-    ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", False),
+    ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", True),
+    ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", True),
     ("late", "nabla x, nabla a", "x?(u).tau.0 + x?(v).0 + x?(w).[w=a]tau.0", "x?(u).tau.0 + x?(v).0",
      True),
     ("early", "nabla x, nabla a", "x?(u).(tau.0 + tau.tau.0)", "x?(u).tau.0 + x?(u).tau.tau.0", True),
@@ -314,6 +313,41 @@ def test_formula_is_folded_from_the_witness(monkeypatch, mode, prefix_text, left
     for name in ("_defended", "_fail_node"):
         monkeypatch.setattr(bisim_mod._Game, name, forbidden)
     assert pb.distinguishing_formula(res) == expected
+
+
+def _tree_nodes(f):
+    """The node count of a formula read as a tree: a shared subformula
+    counts once per occurrence."""
+    return 1 + sum(_tree_nodes(getattr(f, c)) for c in ("left", "right", "body") if hasattr(f, c))
+
+
+@pytest.mark.parametrize(
+    "mode, prefix_text, left, right",
+    [
+        ("late", "", "tau.0 | tau.0 | tau.0 | tau.0", "tau.0 | tau.0 | tau.0 | tau.tau.0"),
+        ("open", "nabla x, nabla y", "x!y.0 | x!y.0 | x!y.0 | x!y.0",
+         "x!y.0 | x!y.0 | x!y.0 | x!y.x!y.0"),
+        ("early", "nabla x", "x?(u).u!x.0 | x?(u).u!x.0 | x?(u).u!x.0",
+         "x?(u).u!x.0 | x?(u).u!x.0 | x?(u).u!x.u!x.0"),
+    ],
+)
+def test_formula_check_evaluates_each_memo_key_once(monkeypatch, mode, prefix_text, left, right):
+    """The formula of a parallel refutation shares its subformulas; the check
+    evaluates each modality once per (term, formula object, depth, counter,
+    environment), so it evaluates fewer modalities than the formula has tree
+    nodes, although it checks both sides."""
+    res = _refute(mode, prefix_text, left, right)
+    evaluated = Counter()
+    real = modal_mod._Walk._modal
+
+    def counted(self, p, a, depth, k, env):
+        evaluated[(p, id(a), depth, k, env)] += 1
+        return real(self, p, a, depth, k, env)
+
+    monkeypatch.setattr(modal_mod._Walk, "_modal", counted)
+    f, _side = pb.distinguishing_formula(res)
+    assert evaluated and max(evaluated.values()) == 1
+    assert sum(evaluated.values()) < _tree_nodes(f)
 
 
 # ---------------------------------------------------------- canonical keys
