@@ -53,9 +53,9 @@ attack only under a unifier, and the clause lists these conditional answers,
 one ``<x=y>true`` guard each.  The formula is machine-checked on both sides
 before it is returned, where the game plays: each process as given at the
 root, and every continuation below it in the game's normal form, so the
-check reads its successors from the game's own table.  The check is one
-memoised walk (``modal._Walk``) shared by both sides, so a subformula that
-the formula shares is checked once per term.
+check reads its successors from the game's own table.  Each side's check is
+one memoised walk (``modal._Walk``), so a subformula that the formula shares
+is checked once per term.
 """
 
 from __future__ import annotations
@@ -461,10 +461,10 @@ class _Game:
         normal form would be computed only to miss the table.  Satisfaction
         is invariant under the mode's bisimilarity, and congruent processes
         are bisimilar, so the normal forms decide it as the raw terms would.
-        Both sides share one walk memo, so a subformula is checked once per
+        Each side's walk is memoised, so a subformula is checked once per
         term however often the formula shares it."""
         d, ne, nf = goal.depth, goal.next_eigen, self.nf
-        walk = dict(table=self.table, normal=lambda p: nf.get(p, p), memo={})
+        walk = dict(table=self.table, normal=lambda p: nf.get(p, p))
         if self.mode == "open":
             return M.sat_open_at(goal.left, f, d, ne, **walk) and not M.sat_open_at(
                 goal.right, f, d, ne, **walk

@@ -152,23 +152,28 @@ def fresh_budget(a: Formula) -> int:
     return count(a)
 
 
-_OPPOSITE = {TrueF: FalseF, And: Or, MatchDia: MatchBox, FreeDia: FreeBox, OutDia: OutBox}
-_OPPOSITE |= {InDia: InBox, InDiaL: InBoxL, InDiaE: InBoxE}
-_OPPOSITE |= {v: k for k, v in _OPPOSITE.items()}
+_DUALS = {
+    TrueF: lambda f: FALSE,
+    FalseF: lambda f: TRUE,
+    And: lambda f: Or(dual(f.left), dual(f.right)),
+    Or: lambda f: And(dual(f.left), dual(f.right)),
+    MatchDia: lambda f: MatchBox(f.left, f.right, dual(f.body)),
+    MatchBox: lambda f: MatchDia(f.left, f.right, dual(f.body)),
+    FreeDia: lambda f: FreeBox(f.action, dual(f.body)),
+    FreeBox: lambda f: FreeDia(f.action, dual(f.body)),
+    OutDia: lambda f: OutBox(f.ch, dual(f.body)),
+    OutBox: lambda f: OutDia(f.ch, dual(f.body)),
+    InDia: lambda f: InBox(f.ch, dual(f.body)),
+    InBox: lambda f: InDia(f.ch, dual(f.body)),
+    InDiaL: lambda f: InBoxL(f.ch, dual(f.body)),
+    InBoxL: lambda f: InDiaL(f.ch, dual(f.body)),
+    InDiaE: lambda f: InBoxE(f.ch, dual(f.body)),
+    InBoxE: lambda f: InDiaE(f.ch, dual(f.body)),
+}
 
 
 def dual(f: Formula) -> Formula:
-    """The negation of ``f``: each node swapped for its opposite, over the
-    duals of its subformulas."""
-    opposite = _OPPOSITE[type(f)]
-    match f:
-        case TrueF() | FalseF():
-            return opposite()
-        case And(l, r) | Or(l, r):
-            return opposite(dual(l), dual(r))
-        case MatchDia(x, y, body) | MatchBox(x, y, body):
-            return opposite(x, y, dual(body))
-    return opposite(getattr(f, f.__match_args__[0]), dual(f.body))
+    return _DUALS[type(f)](f)
 
 
 def _first_non_lm(f: Formula) -> str:
@@ -219,16 +224,13 @@ def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
 
 @dataclass(frozen=True, slots=True)
 class _Mode:
-    """What a checking mode changes in the walk.  ``match`` is the unifier
-    a ``[x=y]`` box reads its body under, or None if ``x=y`` cannot hold;
-    ``meet`` is how a box meets a transition, as the pair (rho, sigma) of
-    the unifier for the continuation and the one for the body, or None, and
-    is None itself where a box meets the transitions a diamond meets;
-    ``received`` lists the names an input modality reads, each with the
-    depth and counter its body is read at; ``inputs`` are the input
-    modalities the mode reads."""
+    """What a checking mode changes in the walk.  ``meet`` is how a box
+    meets a transition, as the pair (rho, sigma) of the unifier for the
+    continuation and the one for the body, or None, and is None itself where
+    a box meets the transitions a diamond meets; ``received`` lists the
+    names an input modality reads, each with the depth and counter its body
+    is read at; ``inputs`` are the input modalities the mode reads."""
 
-    match: Callable[[Name, Name], Subst | None]
     meet: Callable[[Transition, Action], tuple[Subst, Subst] | None] | None
     received: Callable[[bool, Process, tuple, int, int], list[tuple[Name, int, int]]]
     inputs: tuple[type, ...]
@@ -238,7 +240,6 @@ class _Mode:
 # whose action equals its own, as a diamond does, and an input modality
 # reads the scoped constants plus one fresh constant while the budget lasts.
 _GROUND = _Mode(
-    match=lambda x, y: IDENTITY if x == y else None,
     meet=None,
     received=lambda box, p, m, depth, budget: _in_candidates(depth, budget),
     inputs=_IN_NODES,
@@ -266,7 +267,6 @@ def _open_received(box: bool, p: Process, m: tuple, depth: int, next_eigen: int)
 # Open mode: a box meets every transition whose action unifies with its own
 # in the transition's world.
 _OPEN = _Mode(
-    match=unify_names,
     meet=_open_meet,
     received=_open_received,
     inputs=(InDiaL, InBoxL),
@@ -293,13 +293,11 @@ class _Walk:
 
     __slots__ = ("mode", "table", "normal", "memo")
 
-    def __init__(
-        self, mode: _Mode, table: dict | None, normal: Callable | None, memo: dict | None
-    ):
+    def __init__(self, mode: _Mode, table: dict | None, normal: Callable | None):
         self.mode = mode
         self.table = {} if table is None else table
         self.normal = _as_is if normal is None else normal
-        self.memo = {} if memo is None else memo
+        self.memo = {}
 
     def sat(self, p: Process, a: Formula, depth: int, k: int, env: tuple) -> bool:
         match a:
@@ -315,7 +313,9 @@ class _Walk:
                 # proving an equality outright: the names must already coincide
                 return _name_at(x, env) == _name_at(y, env) and self.sat(p, body, depth, k, env)
             case MatchBox(x, y, body):
-                rho = self.mode.match(_name_at(x, env), _name_at(y, env))
+                # on two scoped constants, as in ground mode, the unifier is
+                # the identity if they are equal and None otherwise
+                rho = unify_names(_name_at(x, env), _name_at(y, env))
                 if rho is None:
                     return True  # the hypothesis x=y can never hold
                 if rho.is_identity():
@@ -372,7 +372,6 @@ def sat_ground(
     depth: int | None = None,
     table: dict | None = None,
     normal: Callable[[Process], Process] | None = None,
-    memo: dict | None = None,
 ) -> bool:
     """Classical satisfaction under an all-nabla prefix.  ``extra_names``
     bounds how many fresh constants the name quantifiers may consume; it
@@ -380,12 +379,12 @@ def sat_ground(
     for ``lts.tabled_successors``, such as a bisimulation game's; by default
     the check starts its own, so it asks ``lts`` once per term.  ``normal``
     maps each continuation below ``p`` to a congruent term, by default the
-    continuation itself; ``memo`` is the walk's memo, by default its own."""
+    continuation itself."""
     if depth is None:
         levels = [n.level for n in free_names(p) | free_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
     budget = fresh_budget(a) if extra_names is None else extra_names
-    return _Walk(_GROUND, table, normal, memo).sat(p, a, depth, budget, ())
+    return _Walk(_GROUND, table, normal).sat(p, a, depth, budget, ())
 
 
 def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
@@ -404,13 +403,12 @@ def sat_open_at(
     table: dict | None = None,
     env: tuple = (),
     normal: Callable[[Process], Process] | None = None,
-    memo: dict | None = None,
 ) -> bool:
     """Open satisfaction at nabla depth ``depth`` with eigenvariables from
-    ``next_eigen`` on still unused; ``table``, ``normal`` and ``memo`` are
-    as in ``sat_ground``, and ``env`` holds the names opened at the binders
+    ``next_eigen`` on still unused; ``table`` and ``normal`` are as in
+    ``sat_ground``, and ``env`` holds the names opened at the binders
     crossed so far, as in ``_name_at``."""
-    return _Walk(_OPEN, table, normal, memo).sat(p, a, depth, next_eigen, env)
+    return _Walk(_OPEN, table, normal).sat(p, a, depth, next_eigen, env)
 
 
 # ------------------------------------------------------------------ surface syntax

@@ -332,16 +332,16 @@ def _tree_nodes(f):
     ],
 )
 def test_formula_check_evaluates_each_memo_key_once(monkeypatch, mode, prefix_text, left, right):
-    """The formula of a parallel refutation shares its subformulas; the check
-    evaluates each modality once per (term, formula object, depth, counter,
-    environment), so it evaluates fewer modalities than the formula has tree
-    nodes, although it checks both sides."""
+    """The formula of a parallel refutation shares its subformulas; each
+    side's walk evaluates each modality once per (term, formula object,
+    depth, counter, environment), so the check evaluates fewer modalities
+    than the formula has tree nodes, although it checks both sides."""
     res = _refute(mode, prefix_text, left, right)
     evaluated = Counter()
     real = modal_mod._Walk._modal
 
     def counted(self, p, a, depth, k, env):
-        evaluated[(p, id(a), depth, k, env)] += 1
+        evaluated[(self, p, id(a), depth, k, env)] += 1
         return real(self, p, a, depth, k, env)
 
     monkeypatch.setattr(modal_mod._Walk, "_modal", counted)

@@ -1,12 +1,12 @@
 """Paired before/after runs of the benchmark, written to one history file.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_n.json
-    python3 tools/bench_pairs.py --parent A --change B --workloads wide --pairs 10 --seconds 20
 
-Runs ``bench/run.py --workload W --seed S --seconds T`` unchanged, in each
-of two checkouts (the parent, and by default this one), ``--pairs`` pairs of
-runs on one fixed seed, alternating which checkout runs first so that a
-drift in the host's speed falls on both sides alike.  Then runs ``--trace 1``
+Runs ``bench/run.py --workload W --seed S --seconds T`` unchanged, in a
+checkout of the parent commit and in this one, on every workload and at the
+run length that ``BENCHMARK.json`` declares: ``PAIRS`` pairs of runs on the
+fixed seed ``SEED``, alternating which checkout runs first so that a drift
+in the host's speed falls on both sides alike.  Then runs ``--trace 1``
 once in each checkout for the per-layer counters.  The output file holds,
 per workload and side, every run's end-to-end metrics, their medians and
 quartiles, the pairs the change won per metric, the failed share, and the
@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SEED = 1
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -71,21 +73,16 @@ def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, default=ROOT,
-                    help="checkout of the change (default: this one)")
-    ap.add_argument("--workloads", default="wide,random-mix")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1, help="every pair runs this seed")
-    ap.add_argument("--seconds", type=float, default=20.0, help="measuring time per run")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    seeds = [args.seed] * args.pairs
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, seeds = bench["run_seconds"], [SEED] * PAIRS
     doc = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor()},
         "command": "bench/run.py --workload W --seed S --seconds T [--trace 1]",
-        "workloads": {w: pairs(args.parent.resolve(), args.change.resolve(), w, seeds, args.seconds)
-                      for w in args.workloads.split(",")},
+        "workloads": {w["name"]: pairs(args.parent.resolve(), ROOT, w["name"], seeds, seconds)
+                      for w in bench["workloads"]},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
