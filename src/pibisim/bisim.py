@@ -71,6 +71,7 @@ from .syntax import (
     Eigen,
     Free,
     FreeOut,
+    Label,
     Nabla,
     Name,
     Prefix,
@@ -91,7 +92,6 @@ from .unify import (
     EMPTY_DISTINCTION,
     InternalError,
     Subst,
-    compose,
     respects,
 )
 
@@ -204,8 +204,8 @@ class _Clause:
     """One attack's proof-search clause.  ``names`` are the names the
     continuations open at, each with the depth and next eigenvariable id of
     its child goals (``None`` for a move that opens nothing); ``shape`` orders
-    the quantifiers over names and ``defenders``; ``modalities`` is the
-    diamond/box pair a formula of the move folds with.  Child goals are built
+    the quantifiers over names and ``defenders``; ``label`` is the label of
+    the modality a formula of the move folds with.  Child goals are built
     on demand, one per defender and name, with both sides put in ``normal``
     form, and so are the conditional answers among the defending side's
     candidate ``moves``, which only formulas read."""
@@ -216,20 +216,18 @@ class _Clause:
     defenders: list[Transition]
     names: tuple[tuple[Name | None, int, int], ...]
     shape: str
-    modalities: tuple[type, type]
+    label: Label
     moves: list[Transition]
     normal: Callable[[Process], Process]
 
     def conditional(self) -> list[tuple[Name, Name]]:
         """The candidate moves that answer the attack only under a unifier
-        sigma != id, found as an open box finds them (the unifier of the
-        actions composed with the move's own), each given by the first
-        binding of its sigma, without repeats."""
+        sigma != id, found as an open box finds them (``modal._open_meet``),
+        each given by the first binding of its sigma, without repeats."""
         act, out = self.attack.action, {}
         for u in self.moves:
-            rho = M.unify_actions(u.theta(act), u.action)
-            if rho is not None and (sigma := compose(rho, u.theta)).bindings:
-                out[sigma.bindings[0]] = None
+            if (meet := M._open_meet(u, act)) is not None and meet[1].bindings:
+                out[meet[1].bindings[0]] = None
         return list(out)
 
     def child(self, d: Transition, name: tuple[Name | None, int, int]) -> Goal:
@@ -272,20 +270,20 @@ class _Game:
         q = t.theta(goal.right if side == "left" else goal.left)
         free, bound = tabled_successors(q, d, self.table)
         if isinstance(act, (Tau, FreeOut)):
-            ts, names, shape, mods = free, ((None, d, ne),), _ONE, (M.FreeDia, M.FreeBox)
+            ts, names, shape, label = free, ((None, d, ne),), _ONE, act
         elif isinstance(act, BoundOut):
-            ts, names, shape, mods = bound, ((Nabla(d + 1), d + 1, ne),), _ONE, (M.OutDia, M.OutBox)
+            ts, names, shape, label = bound, ((Nabla(d + 1), d + 1, ne),), _ONE, act
         elif self.mode == "open":
-            ts, names, shape, mods = bound, ((Eigen(ne, d), d, ne + 1),), _ONE, (M.InDiaL, M.InBoxL)
+            ts, names, shape, label = bound, ((Eigen(ne, d), d, ne + 1),), _ONE, M.LateIn(act.ch)
         else:
             ts, names = bound, tuple((Nabla(l), max(d, l), ne) for l in range(1, d + 2))
             if self.mode == "late":
-                shape, mods = _LATE, (M.InDiaL, M.InBoxL)
+                shape, label = _LATE, M.LateIn(act.ch)
             else:
-                shape, mods = _EARLY, (M.InDiaE, M.InBoxE)
+                shape, label = _EARLY, M.EarlyIn(act.ch)
         defenders = [u for u in ts if u.theta.is_identity() and u.action == act]
         return _Clause(
-            side, t, goal.distinct.apply(t.theta), defenders, names, shape, mods, ts, self._normal_form
+            side, t, goal.distinct.apply(t.theta), defenders, names, shape, label, ts, self._normal_form
         )
 
     def _normal_form(self, p: Process) -> Process:
@@ -434,22 +432,21 @@ class _Game:
         the attack's world, where ``x`` and ``y`` are distinct names, and no
         received name can make them equal.  So one binding is enough, and
         every move the box meets on the left has a disjunct that holds."""
-        goal, left, act = node.goal, node.side == "left", node.action
+        goal, left = node.goal, node.side == "left"
         t = self.attacks(goal.left if left else goal.right, goal.depth)[node.attacker_index]
         c = self._clause(goal, node.side, t)
-        recv_guard = M.MatchBox if left else M.MatchDia
+        recv_guard = M.Box if left else M.Dia
         subs = []
         for r in node.replies:
             h = self.build_left(r.child.goal)
-            subs.append(recv_guard(_RECV, r.instantiation, h) if c.shape == _LATE else h)
+            subs.append(recv_guard(M.Eq(_RECV, r.instantiation), h) if c.shape == _LATE else h)
         if not left and self.mode == "open":
-            subs += [M.MatchDia(x, y, M.TRUE) for x, y in c.conditional()]
+            subs += [M.Dia(M.Eq(x, y), M.TRUE) for x, y in c.conditional()]
         body = right_nest(M.And, subs, M.TRUE) if left else right_nest(M.Or, subs, M.FALSE)
         if c.shape == _EARLY:
-            body = recv_guard(_RECV, node.instantiation, body)
+            body = recv_guard(M.Eq(_RECV, node.instantiation), body)
         w = node.instantiation if c.shape == _ONE else _RECV
-        modality = c.modalities[0 if left else 1]
-        core = modality(act, body) if w is None else modality(act.ch, close_abs(body, w))
+        core = (M.Dia if left else M.Box)(c.label, body if w is None else close_abs(body, w))
         return _guard(node.theta, core)
 
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
@@ -503,7 +500,7 @@ _RECV = Free("\0recv")  # stands for the received name until the formula closes 
 
 def _guard(theta: Subst, f: M.Formula) -> M.Formula:
     for var, val in reversed(theta.bindings):
-        f = M.MatchBox(var, val, f)
+        f = M.Box(M.Eq(var, val), f)
     return f
 
 

@@ -8,16 +8,16 @@ a mixed forall/nabla prefix without case analysis on eigenvariables: boxes
 quantify over every symbolic transition branch, diamonds must succeed without
 instantiating anything, an input diamond opens a fresh eigenvariable and an
 input box reads the names in scope.  Open mode is restricted to the sublogic
-whose modalities are tau, free output, bound output, match, and late bound
-input (with their duals).
+whose labels are tau, free output, bound output, match, and late bound input.
 
 Both modes are one walk (``_Walk``), and a small table (``_Mode``) says what
 a mode changes: how a box meets a transition and which names an input
-modality reads.  The walk reads the formula as it is, with an environment of
-the names opened at the binders crossed so far: ``Bound(i)`` reads as
-``env[i]``, so a bound modality opens its body by extending the environment,
-not by rebuilding the body, and a substitution maps the environment's names
-along with the body.  Each modality is evaluated once per (term, formula
+modality reads.  A second table (``_QUANTIFIERS``) gives a diamond's two
+quantifiers per label, and a box reads the same label with both flipped.  The
+walk reads the formula as it is, with an environment of the names opened at
+the binders crossed so far: ``Bound(i)`` reads as ``env[i]``, so a bound
+modality opens its body by extending the environment, not by rebuilding the
+body, and a substitution maps the environment's names along with the body.  Each modality is evaluated once per (term, formula
 object, depth, budget or next eigenvariable, environment), so a subformula
 that a formula shares is checked once per term.  A caller may put every
 continuation below the root in a congruent normal form, as a bisimulation
@@ -41,27 +41,20 @@ from .syntax import (
     Bound,
     BoundIn,
     BoundOut,
+    Box,
+    Dia,
+    EarlyIn,
     Eigen,
+    Eq,
     FALSE,
     FalseF,
     Formula,
     Free,
-    FreeBox,
-    FreeDia,
     FreeOut,
-    InBox,
-    InBoxE,
-    InBoxL,
-    InDia,
-    InDiaE,
-    InDiaL,
-    MatchBox,
-    MatchDia,
+    LateIn,
     Nabla,
     Name,
     Or,
-    OutBox,
-    OutDia,
     Prefix,
     Process,
     TAU,
@@ -77,9 +70,10 @@ from .syntax import (
     walk_names,
     IDENT_RE,
     KEYWORDS,
-    _IN_NODES,
+    _BINDING_LABELS,
     _Namer,
     _TokenParser,
+    _label_text,
 )
 from .lts import Transition, tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
@@ -91,6 +85,15 @@ class FormulaOutsideLM(Exception):
         super().__init__(
             f"open mode only supports the tau/out/match/late-input sublogic; got {node}"
         )
+
+
+_IN_LABELS = (BoundIn, LateIn, EarlyIn)
+
+
+def _input_name(a: Dia | Box) -> str:
+    """The name ``FormulaOutsideLM`` gives an input modality that open mode
+    does not read: ``InDia``, ``InBox``, ``InDiaE`` or ``InBoxE``."""
+    return f"In{type(a).__name__}{'E' if isinstance(a.label, EarlyIn) else ''}"
 
 
 # ------------------------------------------------------------------ formula names
@@ -137,13 +140,8 @@ def fresh_budget(a: Formula) -> int:
                     n = 0
                 case And(l, r) | Or(l, r):
                     n = count(l) + count(r)
-                case (
-                    MatchDia(_, _, body) | MatchBox(_, _, body) | FreeDia(_, body)
-                    | FreeBox(_, body) | OutDia(_, body) | OutBox(_, body)
-                ):
-                    n = count(body)
-                case _ if isinstance(f, _IN_NODES):
-                    n = 1 + count(f.body)
+                case Dia(label, body) | Box(label, body):
+                    n = isinstance(label, _IN_LABELS) + count(body)
                 case _:
                     raise TypeError(f"not a formula: {f!r}")
             memo[id(f)] = n
@@ -157,18 +155,8 @@ _DUALS = {
     FalseF: lambda f: TRUE,
     And: lambda f: Or(dual(f.left), dual(f.right)),
     Or: lambda f: And(dual(f.left), dual(f.right)),
-    MatchDia: lambda f: MatchBox(f.left, f.right, dual(f.body)),
-    MatchBox: lambda f: MatchDia(f.left, f.right, dual(f.body)),
-    FreeDia: lambda f: FreeBox(f.action, dual(f.body)),
-    FreeBox: lambda f: FreeDia(f.action, dual(f.body)),
-    OutDia: lambda f: OutBox(f.ch, dual(f.body)),
-    OutBox: lambda f: OutDia(f.ch, dual(f.body)),
-    InDia: lambda f: InBox(f.ch, dual(f.body)),
-    InBox: lambda f: InDia(f.ch, dual(f.body)),
-    InDiaL: lambda f: InBoxL(f.ch, dual(f.body)),
-    InBoxL: lambda f: InDiaL(f.ch, dual(f.body)),
-    InDiaE: lambda f: InBoxE(f.ch, dual(f.body)),
-    InBoxE: lambda f: InDiaE(f.ch, dual(f.body)),
+    Dia: lambda f: Box(f.label, dual(f.body)),
+    Box: lambda f: Dia(f.label, dual(f.body)),
 }
 
 
@@ -182,13 +170,9 @@ def _first_non_lm(f: Formula) -> str:
             return ""
         case And(l, r) | Or(l, r):
             return _first_non_lm(l) or _first_non_lm(r)
-        case MatchDia(_, _, b) | MatchBox(_, _, b):
-            return _first_non_lm(b)
-        case FreeDia(act, b) | FreeBox(act, b):
-            if not isinstance(act, (Tau, FreeOut)):
-                return type(f).__name__
-            return _first_non_lm(b)
-        case OutDia(_, b) | OutBox(_, b) | InDiaL(_, b) | InBoxL(_, b):
+        case Dia(BoundIn() | EarlyIn()) | Box(BoundIn() | EarlyIn()):
+            return _input_name(f)
+        case Dia(_, b) | Box(_, b):
             return _first_non_lm(b)
         case _:
             return type(f).__name__
@@ -233,7 +217,7 @@ class _Mode:
 
     meet: Callable[[Transition, Action], tuple[Subst, Subst] | None] | None
     received: Callable[[bool, Process, tuple, int, int], list[tuple[Name, int, int]]]
-    inputs: tuple[type, ...]
+    inputs: tuple[type, ...]  # input labels
 
 
 # Ground mode: every theta is the identity, so a box meets the transitions
@@ -242,7 +226,7 @@ class _Mode:
 _GROUND = _Mode(
     meet=None,
     received=lambda box, p, m, depth, budget: _in_candidates(depth, budget),
-    inputs=_IN_NODES,
+    inputs=_IN_LABELS,
 )
 
 
@@ -269,16 +253,15 @@ def _open_received(box: bool, p: Process, m: tuple, depth: int, next_eigen: int)
 _OPEN = _Mode(
     meet=_open_meet,
     received=_open_received,
-    inputs=(InDiaL, InBoxL),
+    inputs=(LateIn,),
 )
 
-# Per modality: whether it is a box, whether its outer quantifier is "some",
-# whether its inner one is, and whether the outer one ranges over received
-# names (early), not over transitions.
-_DIA, _BOX = (False, True, False, False), (True, False, True, False)
-_SHAPES = {FreeDia: _DIA, OutDia: _DIA, InDiaL: _DIA, FreeBox: _BOX, OutBox: _BOX, InBoxL: _BOX}
-_SHAPES |= {InDia: (False, True, True, False), InBox: (True, False, False, False)}
-_SHAPES |= {InDiaE: (False, False, True, True), InBoxE: (True, True, False, True)}
+# A diamond's quantifiers per label: whether the outer one is "some", whether
+# the inner one is, and whether the outer one ranges over received names
+# (early), not over transitions.  Every other label's diamond reads "some
+# transition, every name".  A box flips both.
+_QUANTIFIERS = {BoundIn: (True, True, False), EarlyIn: (False, True, True)}
+_SOME_ALL = (True, False, False)
 
 
 def _as_is(p: Process) -> Process:
@@ -309,10 +292,10 @@ class _Walk:
                 return self.sat(p, l, depth, k, env) and self.sat(p, r, depth, k, env)
             case Or(l, r):
                 return self.sat(p, l, depth, k, env) or self.sat(p, r, depth, k, env)
-            case MatchDia(x, y, body):
+            case Dia(Eq(x, y), body):
                 # proving an equality outright: the names must already coincide
                 return _name_at(x, env) == _name_at(y, env) and self.sat(p, body, depth, k, env)
-            case MatchBox(x, y, body):
+            case Box(Eq(x, y), body):
                 # on two scoped constants, as in ground mode, the unifier is
                 # the identity if they are equal and None otherwise
                 rho = unify_names(_name_at(x, env), _name_at(y, env))
@@ -330,19 +313,21 @@ class _Walk:
     def _modal(self, p: Process, a: Formula, depth: int, k: int, env: tuple) -> bool:
         """A modality: the transitions it meets, each with the names its
         continuation opens at, under the modality's two quantifiers."""
-        mode = self.mode
-        if isinstance(a, (FreeDia, FreeBox)):
-            bound, act, opens = 0, _action_at(a.action, env), [(None, depth, k)]
-        elif isinstance(a, (OutDia, OutBox)):
-            bound, act = 1, BoundOut(_name_at(a.ch, env))
+        mode, label = self.mode, getattr(a, "label", None)
+        if isinstance(label, (Tau, FreeOut)):
+            bound, act, opens = 0, _action_at(label, env), [(None, depth, k)]
+        elif isinstance(label, BoundOut):
+            bound, act = 1, BoundOut(_name_at(label.ch, env))
             opens = [(Nabla(depth + 1), depth + 1, k)]
-        elif isinstance(a, mode.inputs):
-            bound, act, opens = 1, BoundIn(_name_at(a.ch, env)), None
-        elif isinstance(a, _IN_NODES):
-            raise FormulaOutsideLM(type(a).__name__)
+        elif isinstance(label, mode.inputs):
+            bound, act, opens = 1, BoundIn(_name_at(label.ch, env)), None
+        elif isinstance(label, _IN_LABELS):
+            raise FormulaOutsideLM(_input_name(a))
         else:
             raise TypeError(f"not a formula: {a!r}")
-        box, outer_some, inner_some, names_first = _SHAPES[type(a)]
+        box = type(a) is Box
+        outer_some, inner_some, names_first = _QUANTIFIERS.get(type(label), _SOME_ALL)
+        outer_some, inner_some = outer_some != box, inner_some != box
         instantiate, body, met = mode.meet if box else None, a.body, []
         for t in tabled_successors(p, depth, self.table)[bound]:
             if instantiate is None:  # met only as it is, with nothing to instantiate
@@ -401,14 +386,12 @@ def sat_open_at(
     depth: int,
     next_eigen: int,
     table: dict | None = None,
-    env: tuple = (),
     normal: Callable[[Process], Process] | None = None,
 ) -> bool:
     """Open satisfaction at nabla depth ``depth`` with eigenvariables from
     ``next_eigen`` on still unused; ``table`` and ``normal`` are as in
-    ``sat_ground``, and ``env`` holds the names opened at the binders
-    crossed so far, as in ``_name_at``."""
-    return _Walk(_OPEN, table, normal).sat(p, a, depth, next_eigen, env)
+    ``sat_ground``."""
+    return _Walk(_OPEN, table, normal).sat(p, a, depth, next_eigen, ())
 
 
 # ------------------------------------------------------------------ surface syntax
@@ -416,14 +399,8 @@ def sat_open_at(
 _RESERVED_FORMULA = {"true", "false", "v", "L", "E"} | KEYWORDS
 
 
-_IN_MODALITIES = {
-    ("", True): InDia,
-    ("", False): InBox,
-    ("L", True): InDiaL,
-    ("L", False): InBoxL,
-    ("E", True): InDiaE,
-    ("E", False): InBoxE,
-}
+_FLAVOURS = {"L": LateIn, "E": EarlyIn}  # what follows an input modality
+_FLAVOUR_TEXT = {label: f"{text} " for text, label in _FLAVOURS.items()}
 
 
 class _FormulaParser(_TokenParser):
@@ -467,46 +444,30 @@ class _FormulaParser(_TokenParser):
         toks = self.toks
         if toks[self.i] == "tau":
             self.i += 1
-            self.expect(closer)
-            body = self.unary(env)
-            return FreeDia(TAU, body) if is_dia else FreeBox(TAU, body)
-        ch = self.resolve(self.expect_ident(), env)
-        i = self.i
-        tok = toks[i]
-        if tok == "=":
-            self.i = i + 1
-            other = self.resolve(self.expect_ident(), env)
-            self.expect(closer)
-            body = self.unary(env)
-            return MatchDia(ch, other, body) if is_dia else MatchBox(ch, other, body)
-        if tok == "!":
-            if toks[i + 1] == "(":
-                self.i = i + 2
-                binder = self.expect_ident()
+            label = TAU
+        else:
+            ch = self.resolve(self.expect_ident(), env)
+            i = self.i
+            tok = toks[i]
+            if tok == "=":
+                self.i = i + 1
+                label = Eq(ch, self.resolve(self.expect_ident(), env))
+            elif tok == "!" and toks[i + 1] != "(":
+                self.i = i + 1
+                label = FreeOut(ch, self.resolve(self.expect_ident(), env))
+            elif tok == "!" or tok == "?":
+                self.i = i + 1
+                self.expect("(")
+                env = [self.expect_ident()] + env
                 self.expect(")")
-                self.expect(closer)
-                body = self.unary([binder] + env)
-                return OutDia(ch, body) if is_dia else OutBox(ch, body)
-            self.i = i + 1
-            obj = self.resolve(self.expect_ident(), env)
-            self.expect(closer)
-            body = self.unary(env)
-            act = FreeOut(ch, obj)
-            return FreeDia(act, body) if is_dia else FreeBox(act, body)
-        if tok == "?":
-            self.i = i + 1
-            self.expect("(")
-            binder = self.expect_ident()
-            self.expect(")")
-            self.expect(closer)
-            flavour = toks[self.i]
-            if flavour == "L" or flavour == "E":
-                self.i += 1
+                label = BoundOut(ch) if tok == "!" else BoundIn(ch)
             else:
-                flavour = ""
-            body = self.unary([binder] + env)
-            return _IN_MODALITIES[(flavour, is_dia)](ch, body)
-        raise self.error(("'='", "'!'", "'?'"))
+                raise self.error(("'='", "'!'", "'?'"))
+        self.expect(closer)
+        if isinstance(label, BoundIn) and toks[self.i] in _FLAVOURS:
+            label = _FLAVOURS[toks[self.i]](label.ch)
+            self.i += 1
+        return (Dia if is_dia else Box)(label, self.unary(env))
 
 
 def parse_formula(text: str) -> Formula:
@@ -525,10 +486,18 @@ _OR_LVL, _AND_LVL, _UNARY_F = 0, 1, 2
 
 def pretty_formula(f: Formula, prefix: Prefix = Prefix(())) -> str:
     namer = _Namer(prefix)
-    name, fresh = namer.name, namer.binder
 
     def go(f: Formula, need: int, binders: list) -> str:
         match f:
+            case Dia(label, body) | Box(label, body):
+                opener, closer = ("<", ">") if type(f) is Dia else ("[", "]")
+                if not isinstance(label, _BINDING_LABELS):
+                    text = _label_text(label, namer, binders)
+                    return f"{opener}{text}{closer}{go(body, _UNARY_F, binders)}"
+                b = namer.binder(binders)
+                text = _label_text(label, namer, binders, b)
+                flavour = _FLAVOUR_TEXT.get(type(label), "")
+                return f"{opener}{text}{closer}{flavour}{go(body, _UNARY_F, [b] + binders)}"
             case TrueF():
                 return "true"
             case FalseF():
@@ -539,37 +508,7 @@ def pretty_formula(f: Formula, prefix: Prefix = Prefix(())) -> str:
             case Or(l, r):
                 s = f"{go(l, _AND_LVL, binders)} v {go(r, _OR_LVL, binders)}"
                 return f"({s})" if need > _OR_LVL else s
-            case MatchDia(a, b, body):
-                return f"<{name(a, binders)}={name(b, binders)}>{go(body, _UNARY_F, binders)}"
-            case MatchBox(a, b, body):
-                return f"[{name(a, binders)}={name(b, binders)}]{go(body, _UNARY_F, binders)}"
-            case FreeDia(act, body):
-                return f"<{_act(act, binders)}>{go(body, _UNARY_F, binders)}"
-            case FreeBox(act, body):
-                return f"[{_act(act, binders)}]{go(body, _UNARY_F, binders)}"
-            case OutDia(ch, body):
-                b = fresh(binders)
-                return f"<{name(ch, binders)}!({b})>{go(body, _UNARY_F, [b] + binders)}"
-            case OutBox(ch, body):
-                b = fresh(binders)
-                return f"[{name(ch, binders)}!({b})]{go(body, _UNARY_F, [b] + binders)}"
-            case _ if isinstance(f, _IN_NODES):
-                b = fresh(binders)
-                flavour = {InDia: "", InBox: "", InDiaL: "L ", InBoxL: "L ", InDiaE: "E ", InBoxE: "E "}[type(f)]
-                opener, closer = ("<", ">") if isinstance(f, (InDia, InDiaL, InDiaE)) else ("[", "]")
-                return (
-                    f"{opener}{name(f.ch, binders)}?({b}){closer}"
-                    f"{flavour}{go(f.body, _UNARY_F, [b] + binders)}"
-                )
         raise TypeError(f"not a formula: {f!r}")
-
-    def _act(act: Action, binders: list) -> str:
-        match act:
-            case Tau():
-                return "tau"
-            case FreeOut(ch, obj):
-                return f"{name(ch, binders)}!{name(obj, binders)}"
-        raise TypeError(f"free modality over {act!r}")
 
     return go(f, _OR_LVL, [])
 
@@ -605,24 +544,24 @@ def enumerate_lm(names: list[Name], max_depth: int):
         pairs = [(a, b) for a in scope for b in scope if a != b]
         for body in prev:
             for a, b in pairs:
-                yield MatchDia(a, b, body)
-                yield MatchBox(a, b, body)
+                yield Dia(Eq(a, b), body)
+                yield Box(Eq(a, b), body)
         for body in prev:
-            yield FreeDia(TAU, body)
-            yield FreeBox(TAU, body)
+            yield Dia(TAU, body)
+            yield Box(TAU, body)
             for ch in scope:
                 for obj in scope:
-                    yield FreeDia(FreeOut(ch, obj), body)
-                    yield FreeBox(FreeOut(ch, obj), body)
+                    yield Dia(FreeOut(ch, obj), body)
+                    yield Box(FreeOut(ch, obj), body)
         marker = Free("\0abs")
         inner_scope = scope + (marker,)
         for body in layer(depth - 1, inner_scope):
             closed = close_abs(body, marker)
             for ch in scope:
-                yield OutDia(ch, closed)
-                yield OutBox(ch, closed)
-                yield InDiaL(ch, closed)
-                yield InBoxL(ch, closed)
+                yield Dia(BoundOut(ch), closed)
+                yield Box(BoundOut(ch), closed)
+                yield Dia(LateIn(ch), closed)
+                yield Box(LateIn(ch), closed)
         for l in prev:
             for r in prev:
                 if l not in (TRUE, FALSE) or r not in (TRUE, FALSE):

@@ -1,6 +1,11 @@
 """Process syntax: surface grammar, the binder-free internal representation, and
 the translation between them; and the constructors of modal formulas.
 
+A formula's two modalities are ``Dia(label, body)`` and ``Box(label, body)``,
+<a>A and [a]A.  A label is an action (``BoundIn`` is the plain input), a match
+``Eq``, or a late or early input (``LateIn``, ``EarlyIn``), and the body is one
+binder deep when the label binds a name.
+
 Internally binders are de Bruijn indices (index 0 is the innermost binder), so
 alpha-equivalence is plain structural equality.  Free names come in two kinds:
 scoped constants with a level (``Nabla``) and instantiable variables with a
@@ -216,103 +221,49 @@ class Or:
 
 
 @dataclass(frozen=True)
-class MatchDia:
+class Eq:
+    """The match label ``x=y``."""
+
     left: Name
     right: Name
-    body: "Formula"
 
 
 @dataclass(frozen=True)
-class MatchBox:
-    left: Name
-    right: Name
-    body: "Formula"
+class LateIn:
+    """The input label of ``<x?(y)>L``: the received name is chosen after
+    the transition."""
 
-
-@dataclass(frozen=True)
-class FreeDia:
-    action: Action  # Tau or FreeOut
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class FreeBox:
-    action: Action
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class OutDia:
     ch: Name
-    body: "Formula"  # one binder deep
 
 
 @dataclass(frozen=True)
-class OutBox:
+class EarlyIn:
+    """The input label of ``<x?(y)>E``: the received name is chosen before
+    the transition."""
+
     ch: Name
-    body: "Formula"
+
+
+Label = Action | Eq | LateIn | EarlyIn
+_BINDING_LABELS = (BoundOut, BoundIn, LateIn, EarlyIn)
 
 
 @dataclass(frozen=True)
-class InDia:
-    ch: Name
-    body: "Formula"
+class Dia:
+    label: Label
+    body: "Formula"  # one binder deep when the label binds a name
 
 
 @dataclass(frozen=True)
-class InBox:
-    ch: Name
-    body: "Formula"
+class Box:
+    label: Label
+    body: "Formula"  # one binder deep when the label binds a name
 
 
-@dataclass(frozen=True)
-class InDiaL:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InBoxL:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InDiaE:
-    ch: Name
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class InBoxE:
-    ch: Name
-    body: "Formula"
-
-
-Formula = (
-    TrueF
-    | FalseF
-    | And
-    | Or
-    | MatchDia
-    | MatchBox
-    | FreeDia
-    | FreeBox
-    | OutDia
-    | OutBox
-    | InDia
-    | InBox
-    | InDiaL
-    | InBoxL
-    | InDiaE
-    | InBoxE
-)
+Formula = TrueF | FalseF | And | Or | Dia | Box
 
 TRUE = TrueF()
 FALSE = FalseF()
-
-_IN_NODES = (InDia, InBox, InDiaL, InBoxL, InDiaE, InBoxE)
-_ABS_NODES = (OutDia, OutBox) + _IN_NODES
 
 # ------------------------------------------------------------------- name traversal
 
@@ -349,28 +300,31 @@ def map_names(term, f, depth: int = 0):
         case Bang(cont):
             c = map_names(cont, f, depth)
             return term if c is cont else Bang(c)
-        case FreeOut(ch, obj):
-            a, b = f(ch, depth), f(obj, depth)
-            return term if a is ch and b is obj else FreeOut(a, b)
-        case BoundOut(ch) | BoundIn(ch):
-            a = f(ch, depth)
-            return term if a is ch else type(term)(a)
-        case Tau() | TrueF() | FalseF():
-            return term
+        case Dia(label, body) | Box(label, body):
+            a = _map_label(label, f, depth)
+            b = map_names(body, f, depth + isinstance(label, _BINDING_LABELS))
+            return term if a is label and b is body else type(term)(a, b)
         case And(left, right) | Or(left, right):
             a, b = map_names(left, f, depth), map_names(right, f, depth)
             return term if a is left and b is right else type(term)(a, b)
-        case MatchDia(left, right, body) | MatchBox(left, right, body):
-            a, b, c = f(left, depth), f(right, depth), map_names(body, f, depth)
-            return term if a is left and b is right and c is body else type(term)(a, b, c)
-        case FreeDia(act, body) | FreeBox(act, body):
-            a, b = map_names(act, f, depth), map_names(body, f, depth)
-            return term if a is act and b is body else type(term)(a, b)
-        case _ if isinstance(term, _ABS_NODES):
-            a, b = f(term.ch, depth), map_names(term.body, f, depth + 1)
-            return term if a is term.ch and b is term.body else type(term)(a, b)
+        case TrueF() | FalseF():
+            return term
         case _:
-            raise TypeError(f"not a process, action or formula: {term!r}")
+            return _map_label(term, f, depth)
+
+
+def _map_label(label, f, depth: int):
+    """``map_names`` on an action or another modality label."""
+    match label:
+        case Tau():
+            return label
+        case FreeOut(x, y) | Eq(x, y):
+            a, b = f(x, depth), f(y, depth)
+            return label if a is x and b is y else type(label)(a, b)
+        case BoundOut(ch) | BoundIn(ch) | LateIn(ch) | EarlyIn(ch):
+            a = f(ch, depth)
+            return label if a is ch else type(label)(a)
+    raise TypeError(f"not a process, action or formula: {label!r}")
 
 
 def walk_names(term, f, depth: int = 0) -> None:
@@ -392,30 +346,31 @@ def walk_names(term, f, depth: int = 0) -> None:
             case Sum(left, right) | Par(left, right):
                 walk_names(left, f, depth)
                 term = right
-            case FreeOut(a, b):
-                f(a, depth)
-                f(b, depth)
-                return
-            case BoundOut(ch) | BoundIn(ch):
-                f(ch, depth)
-                return
             case Nil() | Tau() | TrueF() | FalseF():
                 return
+            case Dia(label, body) | Box(label, body):
+                _walk_label(label, f, depth)
+                term, depth = body, depth + isinstance(label, _BINDING_LABELS)
             case And(left, right) | Or(left, right):
                 walk_names(left, f, depth)
                 term = right
-            case MatchDia(a, b, body) | MatchBox(a, b, body):
-                f(a, depth)
-                f(b, depth)
-                term = body
-            case FreeDia(act, body) | FreeBox(act, body):
-                walk_names(act, f, depth)
-                term = body
-            case _ if isinstance(term, _ABS_NODES):
-                f(term.ch, depth)
-                term, depth = term.body, depth + 1
             case _:
-                raise TypeError(f"not a process, action or formula: {term!r}")
+                _walk_label(term, f, depth)
+                return
+
+
+def _walk_label(label, f, depth: int) -> None:
+    """``walk_names`` on an action or another modality label."""
+    match label:
+        case FreeOut(a, b) | Eq(a, b):
+            f(a, depth)
+            f(b, depth)
+        case BoundOut(ch) | BoundIn(ch) | LateIn(ch) | EarlyIn(ch):
+            f(ch, depth)
+        case Tau():
+            pass
+        case _:
+            raise TypeError(f"not a process, action or formula: {label!r}")
 
 
 def open_abs(body, name: Name):
@@ -1090,13 +1045,24 @@ def pretty_name(n: Name, prefix: Prefix = Prefix(())) -> str:
 
 def pretty_action(a: Action, prefix: Prefix = Prefix(()), binder: str | None = None) -> str:
     namer = _Namer(prefix)
-    match a:
+    return _label_text(a, namer, [], binder or "w")
+
+
+def _label_text(label: Label, namer: _Namer, binders: list[str], binder: str = "") -> str:
+    """An action's or a modality label's text, its names read under
+    ``binders``, and ``binder`` the name a binding label binds; a late or
+    early input reads as the plain input, and its flavour follows the
+    modality."""
+    name = namer.name
+    match label:
         case Tau():
             return "tau"
-        case FreeOut(ch, obj):
-            return f"{namer.name(ch, [])}!{namer.name(obj, [])}"
+        case FreeOut(x, y):
+            return f"{name(x, binders)}!{name(y, binders)}"
+        case Eq(x, y):
+            return f"{name(x, binders)}={name(y, binders)}"
         case BoundOut(ch):
-            return f"{namer.name(ch, [])}!({binder or 'w'})"
-        case BoundIn(ch):
-            return f"{namer.name(ch, [])}?({binder or 'w'})"
-    raise TypeError(f"not an action: {a!r}")
+            return f"{name(ch, binders)}!({binder})"
+        case BoundIn(ch) | LateIn(ch) | EarlyIn(ch):
+            return f"{name(ch, binders)}?({binder})"
+    raise TypeError(f"not a label: {label!r}")

@@ -10,7 +10,7 @@ smaller so level-soundness is preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, map_names
 
@@ -29,12 +29,6 @@ class Subst:
     """
 
     bindings: tuple[tuple[Eigen, Name], ...] = ()
-    _index: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {var.id: val for var, val in self.bindings}
-        )
 
     @staticmethod
     def of(*pairs: tuple[Eigen, Name]) -> "Subst":
@@ -44,8 +38,10 @@ class Subst:
         return not self.bindings
 
     def name(self, n: Name) -> Name:
-        if isinstance(n, Eigen) and n.id in self._index:
-            return self._index[n.id]
+        if isinstance(n, Eigen):
+            for var, val in self.bindings:
+                if var.id == n.id:
+                    return val
         return n
 
     def __call__(self, term):
@@ -94,7 +90,7 @@ def compose(outer: Subst, inner: Subst) -> Subst:
             merged[var.id] = (var, val)
     result = Subst(tuple(sorted(merged.values(), key=lambda p: p[0].id)))
     for var, val in result.bindings:
-        if isinstance(val, Eigen) and val.id in result._index:
+        if isinstance(val, Eigen) and any(v.id == val.id for v, _ in result.bindings):
             raise InternalError("composition did not normalize to idempotent form")
         _check_level_sound(var, val)
     return result

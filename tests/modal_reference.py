@@ -14,22 +14,15 @@ from __future__ import annotations
 from pibisim.lts import tabled_successors
 from pibisim.modal import (
     And,
+    Box,
+    Dia,
+    EarlyIn,
+    Eq,
     FalseF,
     Formula,
     FormulaOutsideLM,
-    FreeBox,
-    FreeDia,
-    InBox,
-    InBoxE,
-    InBoxL,
-    InDia,
-    InDiaE,
-    InDiaL,
-    MatchBox,
-    MatchDia,
+    LateIn,
     Or,
-    OutBox,
-    OutDia,
     TrueF,
     _in_candidates,
     formula_names,
@@ -40,9 +33,11 @@ from pibisim.syntax import (
     BoundIn,
     BoundOut,
     Eigen,
+    FreeOut,
     Nabla,
     Name,
     Process,
+    Tau,
     free_names,
     map_names,
     open_abs,
@@ -73,30 +68,30 @@ def sat_ground(p: Process, a: Formula, depth: int, budget: int, table: dict) -> 
             return sat_ground(p, l, depth, budget, table) and sat_ground(p, r, depth, budget, table)
         case Or(l, r):
             return sat_ground(p, l, depth, budget, table) or sat_ground(p, r, depth, budget, table)
-        case MatchDia(x, y, body):
+        case Dia(Eq(x, y), body):
             return x == y and sat_ground(p, body, depth, budget, table)
-        case MatchBox(x, y, body):
+        case Box(Eq(x, y), body):
             return x != y or sat_ground(p, body, depth, budget, table)
-        case FreeDia(act, body):
+        case Dia(Tau() | FreeOut() as act, body):
             return any(
                 sat_ground(t.cont, body, depth, budget, table)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
-        case FreeBox(act, body):
+        case Box(Tau() | FreeOut() as act, body):
             return all(
                 sat_ground(t.cont, body, depth, budget, table)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.action == act
             )
-        case OutDia(ch, body):
+        case Dia(BoundOut(ch), body):
             w = Nabla(depth + 1)
             return any(
                 sat_ground(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
                 for t in tabled_successors(p, depth, table)[1]
                 if t.action == BoundOut(ch)
             )
-        case OutBox(ch, body):
+        case Box(BoundOut(ch), body):
             w = Nabla(depth + 1)
             return all(
                 sat_ground(open_abs(t.cont, w), open_formula(body, w), depth + 1, budget, table)
@@ -104,7 +99,7 @@ def sat_ground(p: Process, a: Formula, depth: int, budget: int, table: dict) -> 
                 if t.action == BoundOut(ch)
             )
     # input modalities: quantifier nesting differs per flavour
-    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == BoundIn(a.ch)]
+    ts = [t for t in tabled_successors(p, depth, table)[1] if t.action == BoundIn(a.label.ch)]
     cands = _in_candidates(depth, budget)
 
     def hold(t, cand) -> bool:
@@ -112,17 +107,17 @@ def sat_ground(p: Process, a: Formula, depth: int, budget: int, table: dict) -> 
         return sat_ground(open_abs(t.cont, w), open_formula(a.body, w), d2, b2, table)
 
     match a:
-        case InDia(_, _):
+        case Dia(BoundIn()):
             return any(any(hold(t, c) for c in cands) for t in ts)
-        case InBox(_, _):
+        case Box(BoundIn()):
             return all(all(hold(t, c) for c in cands) for t in ts)
-        case InDiaL(_, _):
+        case Dia(LateIn()):
             return any(all(hold(t, c) for c in cands) for t in ts)
-        case InBoxL(_, _):
+        case Box(LateIn()):
             return all(any(hold(t, c) for c in cands) for t in ts)
-        case InDiaE(_, _):
+        case Dia(EarlyIn()):
             return all(any(hold(t, c) for t in ts) for c in cands)
-        case InBoxE(_, _):
+        case Box(EarlyIn()):
             return any(all(hold(t, c) for t in ts) for c in cands)
     raise TypeError(f"not a formula: {a!r}")
 
@@ -147,21 +142,21 @@ def sat_open_at(
             return sat_open_at(p, l, depth, next_eigen, table) or sat_open_at(
                 p, r, depth, next_eigen, table
             )
-        case MatchDia(x, y, body):
+        case Dia(Eq(x, y), body):
             # proving an equality outright: the names must already coincide
             return x == y and sat_open_at(p, body, depth, next_eigen, table)
-        case MatchBox(x, y, body):
+        case Box(Eq(x, y), body):
             rho = unify_names(x, y)
             if rho is None:
                 return True  # the hypothesis x=y can never hold
             return sat_open_at(rho(p), rho(body), depth, next_eigen, table)
-        case FreeDia(act, body):
+        case Dia(Tau() | FreeOut() as act, body):
             return any(
                 sat_open_at(t.cont, body, depth, next_eigen, table)
                 for t in tabled_successors(p, depth, table)[0]
                 if t.theta.is_identity() and t.action == act
             )
-        case FreeBox(act, body):
+        case Box(Tau() | FreeOut() as act, body):
             for t in tabled_successors(p, depth, table)[0]:
                 act_i = t.theta(act)
                 rho = unify_actions(act_i, t.action)
@@ -173,7 +168,7 @@ def sat_open_at(
                 ):
                     return False
             return True
-        case OutDia(ch, body):
+        case Dia(BoundOut(ch), body):
             w = Nabla(depth + 1)
             return any(
                 sat_open_at(
@@ -182,7 +177,7 @@ def sat_open_at(
                 for t in tabled_successors(p, depth, table)[1]
                 if t.theta.is_identity() and t.action == BoundOut(ch)
             )
-        case OutBox(ch, body):
+        case Box(BoundOut(ch), body):
             w = Nabla(depth + 1)
             for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundOut):
@@ -200,7 +195,7 @@ def sat_open_at(
                 ):
                     return False
             return True
-        case InDiaL(ch, body):
+        case Dia(LateIn(ch), body):
             w = Eigen(next_eigen, depth)
             return any(
                 sat_open_at(
@@ -209,7 +204,7 @@ def sat_open_at(
                 for t in tabled_successors(p, depth, table)[1]
                 if t.theta.is_identity() and t.action == BoundIn(ch)
             )
-        case InBoxL(ch, body):
+        case Box(LateIn(ch), body):
             for t in tabled_successors(p, depth, table)[1]:
                 if not isinstance(t.action, BoundIn):
                     continue

@@ -13,16 +13,12 @@ from pibisim.modal import (
     FALSE,
     TRUE,
     And,
-    FreeBox,
-    FreeDia,
-    InBoxL,
-    InDia,
-    InDiaE,
-    InDiaL,
-    MatchBox,
-    MatchDia,
+    Box,
+    Dia,
+    EarlyIn,
+    Eq,
+    LateIn,
     Or,
-    OutDia,
     enumerate_lm,
     sat_open_at,
 )
@@ -47,24 +43,24 @@ class TestFreshBudget:
         assert pb.fresh_budget(TRUE) == 0
 
     def test_single_input_box(self):
-        f = InBoxL(Nabla(1), MatchBox(Bound(0), Nabla(1), FALSE))
+        f = Box(LateIn(Nabla(1)), Box(Eq(Bound(0), Nabla(1)), FALSE))
         assert pb.fresh_budget(f) == 1
 
     def test_nested_inputs(self):
-        f = InBoxL(Nabla(1), InDiaL(Bound(0), TRUE))
+        f = Box(LateIn(Nabla(1)), Dia(LateIn(Bound(0)), TRUE))
         assert pb.fresh_budget(f) == 2
 
     def test_parsed(self):
         assert pb.fresh_budget(fml("[a?(x)]L [x=a]false", PFX_A)) == 1
 
     def test_shared_subformula_counted_per_occurrence_visited_once(self):
-        small = InBoxL(Nabla(1), TRUE)
+        small = Box(LateIn(Nabla(1)), TRUE)
         assert pb.fresh_budget(And(small, Or(small, small))) == 3
         # 81 objects whose tree has 2**40 input modalities: a walk per
         # occurrence would not finish, a walk per object is instant
-        f = InDiaL(Nabla(1), TRUE)
+        f = Dia(LateIn(Nabla(1)), TRUE)
         for i in range(40):
-            f = (And if i % 2 else Or)(f, MatchBox(Nabla(1), Nabla(2), f))
+            f = (And if i % 2 else Or)(f, Box(Eq(Nabla(1), Nabla(2)), f))
         assert pb.fresh_budget(f) == 2**40
 
 class TestSatGround:
@@ -114,11 +110,11 @@ class TestSatGround:
         prefix = pb.parse_prefix("nabla x, nabla y")
         p = enc("tau.0", prefix)
         body = fml("<tau>true", prefix)
-        assert pb.sat_ground(p, MatchDia(Nabla(1), Nabla(1), body), 0) == pb.sat_ground(
+        assert pb.sat_ground(p, Dia(Eq(Nabla(1), Nabla(1)), body), 0) == pb.sat_ground(
             p, body, 0
         )
-        assert not pb.sat_ground(p, MatchDia(Nabla(1), Nabla(2), body), 0)
-        assert pb.sat_ground(p, MatchBox(Nabla(1), Nabla(2), FALSE), 0)
+        assert not pb.sat_ground(p, Dia(Eq(Nabla(1), Nabla(2)), body), 0)
+        assert pb.sat_ground(p, Box(Eq(Nabla(1), Nabla(2)), FALSE), 0)
 
     def test_early_vs_late_quantifier_order(self):
         # A = x(u).tau + x(u).0 satisfies the early box "some continuation per
@@ -199,11 +195,32 @@ class TestSatOpen:
         prefix = pb.parse_prefix("nabla a")
         p = enc("a?(x).0", prefix)
         for bad in (
-            InDia(Nabla(1), TRUE),
-            InDiaE(Nabla(1), TRUE),
+            Dia(pb.BoundIn(Nabla(1)), TRUE),
+            Dia(EarlyIn(Nabla(1)), TRUE),
         ):
             with pytest.raises(pb.FormulaOutsideLM):
                 pb.sat_open(p, bad, prefix)
+
+    def test_outside_lm_names_the_modality(self):
+        """Both entry points name the input modality open mode does not
+        read, at the root and under a match it walks through."""
+        prefix = pb.parse_prefix("nabla a")
+        p = enc("a?(x).0", prefix)
+        for text, node in (
+            ("<a?(x)>true", "InDia"),
+            ("[a?(x)]true", "InBox"),
+            ("<a?(x)>E true", "InDiaE"),
+            ("[a?(x)]E true", "InBoxE"),
+        ):
+            for wrap in ("{}", "<a=a>{}"):
+                f = fml(wrap.format(text), prefix)
+                for check in (lambda: pb.sat_open(p, f, prefix), lambda: sat_open_at(p, f, 1, 1)):
+                    with pytest.raises(pb.FormulaOutsideLM) as err:
+                        check()
+                    assert err.value.node == node
+                    assert str(err.value) == (
+                        f"open mode only supports the tau/out/match/late-input sublogic; got {node}"
+                    )
 
     def test_soundness_under_groundings(self):
         # sat_open(p, f) implies sat_ground on every grounding (small pool)
@@ -288,9 +305,9 @@ class TestFormulaSyntax:
     def test_binder_scoping(self):
         prefix = pb.parse_prefix("nabla a")
         f = fml("<a?(x)>L <x!a>true", prefix)
-        assert isinstance(f, InDiaL)
+        assert isinstance(f, Dia) and isinstance(f.label, LateIn)
         inner = f.body
-        assert isinstance(inner, OutDia) is False  # body shape: FreeDia
+        assert isinstance(inner, Dia) and isinstance(inner.label, pb.FreeOut)  # body shape: <x!a>
 
 
 WALK_NAMES = ("a", "b")
@@ -350,7 +367,7 @@ class TestEnvironmentWalk:
         formulas = [
             f
             for i, f in enumerate(enumerate_lm(names, 2))
-            if i % 8 == 0 or any(k in repr(f) for k in ("Bound", "MatchBox", "MatchDia"))
+            if i % 8 == 0 or any(k in repr(f) for k in ("Bound", "label=Eq("))
         ]
         formulas += [fml(t, prefix) for t in WALK_FORMULAS]
         for _ in range(150):
@@ -362,7 +379,7 @@ class TestEnvironmentWalk:
             for f in formulas:
                 verdict = sat_open_at(p, f, depth, ne, table)
                 assert verdict == ref.sat_open_at(p, f, depth, ne, table), (p, f)
-                seen.add((verdict, "MatchBox" in repr(f)))
+                seen.add((verdict, "Box(label=Eq(" in repr(f)))
         assert seen == {(v, b) for v in (True, False) for b in (True, False)}
 
 
@@ -389,18 +406,20 @@ def oracle_formula(f, names, binders=(), counter=None):
             return ("false",)
         case And(l, r) | Or(l, r):
             return ("and" if isinstance(f, And) else "or", go(l, binders), go(r, binders))
-        case MatchDia(x, y, body) | MatchBox(x, y, body):
-            return ("mdia" if isinstance(f, MatchDia) else "mbox", nm(x), nm(y), go(body, binders))
-        case FreeDia(act, body) | FreeBox(act, body):
+        case Dia(Eq(x, y), body) | Box(Eq(x, y), body):
+            return ("mdia" if isinstance(f, Dia) else "mbox", nm(x), nm(y), go(body, binders))
+        case Dia(pb.Tau() | pb.FreeOut() as act, body) | Box(pb.Tau() | pb.FreeOut() as act, body):
             a = ("tau",) if act == pb.TAU else ("out", nm(act.ch), nm(act.obj))
-            return ("fdia" if isinstance(f, FreeDia) else "fbox", a, go(body, binders))
+            return ("fdia" if isinstance(f, Dia) else "fbox", a, go(body, binders))
     counter[0] += 1
     z = f"fb{counter[0]}"
     tag = {
-        OutDia: "odia", pb.modal.OutBox: "obox", InDia: "idia", pb.modal.InBox: "ibox",
-        InDiaL: "idial", InBoxL: "iboxl", InDiaE: "idiae", pb.modal.InBoxE: "iboxe",
-    }[type(f)]
-    return (tag, nm(f.ch), z, go(f.body, (z,) + binders))
+        (Dia, pb.BoundOut): "odia", (Box, pb.BoundOut): "obox",
+        (Dia, pb.BoundIn): "idia", (Box, pb.BoundIn): "ibox",
+        (Dia, LateIn): "idial", (Box, LateIn): "iboxl",
+        (Dia, EarlyIn): "idiae", (Box, EarlyIn): "iboxe",
+    }[type(f), type(f.label)]
+    return (tag, nm(f.label.ch), z, go(f.body, (z,) + binders))
 
 
 def criterion_09_refutations():
@@ -458,7 +477,7 @@ class TestNormalFormInvariance:
         one of their verdicts."""
         names = [prefix.name_map()[n] for n in C9_NAMES]
         acts = [pb.TAU] + [pb.FreeOut(x, y) for x in names for y in names]
-        return [FreeDia(a, FreeDia(b, TRUE)) for a in acts for b in acts]
+        return [Dia(a, Dia(b, TRUE)) for a in acts for b in acts]
 
     @staticmethod
     def same_on_two_steps(p, formulas, check):

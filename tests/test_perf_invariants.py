@@ -20,9 +20,13 @@ import pibisim.syntax as syntax_mod
 from agree import enc as enc_tuple, make_prefix
 from pibisim.bisim import Goal, canonical_key, _pair_key
 from pibisim.syntax import (
-    _ABS_NODES,
+    Box,
+    Dia,
+    EarlyIn,
     Eigen,
+    Eq,
     Formula,
+    LateIn,
     Nabla,
     Process,
     close_abs,
@@ -590,6 +594,10 @@ def layer_terms(seed, count):
         yield enc(corpus.to_text(corpus.random_proc(rng, max_prefixes=6, allow_bang=True)), prefix)
 
 
+BINDING_LABELS = (pb.BoundOut, pb.BoundIn, LateIn, EarlyIn)
+LABELS = (pb.Tau, pb.FreeOut, Eq) + BINDING_LABELS
+
+
 def fields(node):
     return tuple(getattr(node, f) for f in node.__match_args__)
 
@@ -601,7 +609,10 @@ def subterms(p):
     while todo:
         q, depth = todo.pop()
         yield q, depth
-        inner = depth + isinstance(q, (pb.In, pb.Nu) + _ABS_NODES)
+        inner = depth + (
+            isinstance(q, (pb.In, pb.Nu))
+            or isinstance(q, (Dia, Box)) and isinstance(q.label, BINDING_LABELS)
+        )
         todo.extend((f, inner) for f in fields(q) if isinstance(f, Process | Formula))
 
 
@@ -673,12 +684,12 @@ def test_unchanged_formulas_are_returned_themselves():
     a, b = (pb.parse_prefix(CONGRUENCE_PREFIX).name_map()[n] for n in "ab")
     w = Eigen(7, 1)
     absent = pb.Subst.of((w, b))
-    kinds = set()
+    shapes = set()
     for f in layer_formulas(23, 300):
         assert map_names(f, lambda n, _d: n) is f
         assert absent(f) is f
         for q, _ in subterms(f):
-            kinds.add(type(q))
+            shapes.add((type(q), type(q.label)) if isinstance(q, (Dia, Box)) else type(q))
             if not dangling(q):
                 assert close_abs(q, w) is q
                 assert open_abs(q, Nabla(5)) is q
@@ -692,7 +703,10 @@ def test_unchanged_formulas_are_returned_themselves():
         walk_names(f, lambda n, d: walked.append((n, d)))
         map_names(f, lambda n, d: mapped.append((n, d)) or n)
         assert walked == mapped
-    assert kinds == set(Formula.__args__)
+    connectives = {modal_mod.TrueF, modal_mod.FalseF, modal_mod.And, modal_mod.Or}
+    assert set(Formula.__args__) == connectives | {Dia, Box}
+    # the 18 shapes: the connectives, and a diamond and a box per label
+    assert shapes == connectives | {(m, label) for m in (Dia, Box) for label in LABELS}
 
 
 # ------------------------------------------------------ parsing and encoding
@@ -758,7 +772,7 @@ def test_encode_reads_the_prefix_map_built_once(monkeypatch):
     p = pb.encode(pb.parse_process("x!y.y?(u).0"), prefix)
     f = pb.encode_formula(pb.parse_formula("<x!y>true"), prefix)
     assert p == pb.Out(Nabla(1), Eigen(1, 1), pb.In(Eigen(1, 1), pb.NIL))
-    assert f == modal_mod.FreeDia(pb.FreeOut(Nabla(1), Eigen(1, 1)), modal_mod.TRUE)
+    assert f == Dia(pb.FreeOut(Nabla(1), Eigen(1, 1)), modal_mod.TRUE)
     assert pb.pretty(p, prefix) == "x!y.y.0"
     assert (prefix.nabla_count, prefix.eigen_count) == (1, 1)
     assert pb.successors_free(p, prefix.nabla_count)
