@@ -36,7 +36,10 @@ substitution.  So goals that differ only in the order of parallel components,
 and one witness node, and the certificate of a positive verdict is a
 bisimulation up to congruence, which ``verify_certificate`` checks in a fresh
 game.  Memo keys rename eigenvariables only when they are not already
-numbered by first occurrence.
+numbered by first occurrence, and a goal whose next eigenvariable id is 1,
+as every late and early goal's is, has no eigenvariable and is its own key
+without a walk.  The memo also holds each goal as asked, so a goal asked
+again is answered before its sides are normalised or its key is computed.
 
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends; the table
@@ -44,6 +47,12 @@ lives and dies with the game.
 
 On refutation the engine extracts the winning attacker strategy as a witness:
 a DAG with one node object per refuted goal, shared wherever a goal repeats.
+Each node is read from the decider's own record: when it meets an attack the
+defender cannot answer, the decider keeps the attack and its clause for the
+goal as asked, and the node and the goal's formula are built from that
+clause, with no goal decided and no clause built again.  Only a goal refuted
+under another goal's memo key has no record; its attacks are scanned once,
+in the decider's order.
 ``verify_witness`` replays it structurally, move by move, in a fresh game that
 only enumerates moves and never decides a goal, and replays each node once.
 The distinguishing formula is folded from the same nodes, one modality per
@@ -164,6 +173,9 @@ def _pair_key(pair):
 def canonical_key(goal: Goal):
     """Alpha-canonical form of a goal: eigenvariables renumbered by first
     occurrence so memoized verdicts transfer between alpha-variants."""
+    if goal.next_eigen == 1:
+        # every eigenvariable's id is below next_eigen, so there is none
+        return (goal.depth, goal.left, goal.right, goal.distinct.pairs)
     order: list[Eigen] = []
     seen: set[int] = set()
 
@@ -240,6 +252,21 @@ class _Clause:
         return Goal(depth, next_eigen, self.distinct, self.normal(a), self.normal(b))
 
 
+def _normaliser(nf: dict[Process, Process]) -> Callable[[Process], Process]:
+    """Normal forms modulo structural congruence, cached in ``nf``.  A plain
+    function over the cache, not a method of the game, so that a clause the
+    game keeps does not refer back to the game."""
+
+    def normal(p: Process) -> Process:
+        hit = nf.get(p)
+        if hit is None:
+            hit = normal_form(p)
+            nf[p] = nf[hit] = hit  # a normal form is its own
+        return hit
+
+    return normal
+
+
 class _Game:
     def __init__(self, mode: str, max_depth: int | None = None):
         if mode not in ("open", "late", "early"):
@@ -256,6 +283,9 @@ class _Game:
         self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
         # term -> its normal form modulo structural congruence, for this game only
         self.nf: dict[Process, Process] = {}
+        self._normal_form = _normaliser(self.nf)
+        # refuted goal as asked -> its winning attack's index and clause
+        self.won: dict[Goal, tuple[int, _Clause]] = {}
 
     # ------------------------------------------------------------- the game
 
@@ -286,13 +316,6 @@ class _Game:
             side, t, goal.distinct.apply(t.theta), defenders, names, shape, label, ts, self._normal_form
         )
 
-    def _normal_form(self, p: Process) -> Process:
-        hit = self.nf.get(p)
-        if hit is None:
-            hit = normal_form(p)
-            self.nf[p] = self.nf[hit] = hit  # a normal form is its own
-        return hit
-
     def _normalised(self, goal: Goal) -> Goal:
         """The goal with both sides in normal form modulo congruence."""
         return Goal(
@@ -306,31 +329,44 @@ class _Game:
     def check(self, goal: Goal) -> bool:
         if self.max_depth is not None and goal.depth > self.max_depth:
             raise DepthBudgetExceeded(self.max_depth)
+        result = self.memo.get(goal)  # a goal asked before: no key to compute
+        if result is not None:
+            return result
         norm = self._normalised(goal)
         key = canonical_key(norm)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.stats.goals += 1
-        congruent = norm.left == norm.right
-        result = congruent or (self._side_holds(goal, "left") and self._side_holds(goal, "right"))
-        self.memo[key] = result
-        if result and not congruent:
-            self.cert.append(goal)
+        result = self.memo.get(key)
+        if result is None:
+            self.stats.goals += 1
+            congruent = norm.left == norm.right
+            result = congruent or (
+                self._side_holds(goal, "left") and self._side_holds(goal, "right")
+            )
+            self.memo[key] = result
+            if result and not congruent:
+                self.cert.append(goal)
+        self.memo[goal] = result
         return result
 
     def _side_holds(self, goal: Goal, side: str) -> bool:
         p = goal.left if side == "left" else goal.right
-        for t in self.attacks(p, goal.depth):
+        for idx, t in enumerate(self.attacks(p, goal.depth)):
             self.stats.branches += 1
-            if not respects(t.theta, goal.distinct):
-                continue  # the induced world collapses a distinction: discharged
-            if not self._defended(goal, side, t):
+            if self._wins(goal, side, idx, t):
                 return False
         return True
 
-    def _defended(self, goal: Goal, side: str, t: Transition) -> bool:
+    def _wins(self, goal: Goal, side: str, idx: int, t: Transition) -> bool:
+        """Whether attack ``t``, the ``idx``-th of ``side``, wins ``goal``;
+        a winning attack is recorded, with its clause, as the goal's."""
+        if not respects(t.theta, goal.distinct):
+            return False  # the induced world collapses a distinction: discharged
         c = self._clause(goal, side, t)
+        if self._defended(c):
+            return False
+        self.won[goal] = (idx, c)
+        return True
+
+    def _defended(self, c: _Clause) -> bool:
         if c.shape == _LATE:
             return any(all(self.check(c.child(d, n)) for n in c.names) for d in c.defenders)
         return all(any(self.check(c.child(d, n)) for d in c.defenders) for n in c.names)
@@ -340,22 +376,25 @@ class _Game:
     def explain(self, goal: Goal) -> FailNode:
         """The first winning attack from a refuted goal, left side first, one
         node object per goal, so a witness shares the node of every goal that
-        repeats."""
+        repeats.  The attack is the one the decider recorded when it refuted
+        the goal; a goal refuted under another goal's memo key has none, and
+        only its attacks are scanned again, in the decider's order."""
         node = self.wmemo.get(goal)
         if node is not None:
             return node
-        for side, p in (("left", goal.left), ("right", goal.right)):
-            for idx, t in enumerate(self.attacks(p, goal.depth)):
-                if respects(t.theta, goal.distinct) and not self._defended(goal, side, t):
-                    node = self.wmemo[goal] = self._fail_node(goal, side, idx, t)
-                    return node
-        raise InternalError("refuted goal has no winning attack")
+        if goal not in self.won and not any(
+            self._wins(goal, side, idx, t)
+            for side, p in (("left", goal.left), ("right", goal.right))
+            for idx, t in enumerate(self.attacks(p, goal.depth))
+        ):
+            raise InternalError("refuted goal has no winning attack")
+        node = self.wmemo[goal] = self._fail_node(goal, *self.won[goal])
+        return node
 
-    def _fail_node(self, goal: Goal, side: str, idx: int, t: Transition) -> FailNode:
+    def _fail_node(self, goal: Goal, idx: int, c: _Clause) -> FailNode:
         """The witness node of a winning attack: each defender answer with
         the refuted child goal it leads to, at the first name that refutes
         it, chosen once for all answers unless the defender answers first."""
-        c = self._clause(goal, side, t)
         name = c.names[0]
         if c.shape == _EARLY:
             lost = (n for n in c.names if not any(self.check(c.child(d, n)) for d in c.defenders))
@@ -371,7 +410,8 @@ class _Game:
                     raise InternalError("defender reported defeated but every received name works")
             w = name[0] if c.shape == _LATE else None
             replies.append(Reply(i, w, self.explain(c.child(d, name))))
-        return FailNode(goal, side, idx, t.theta, t.action, inst, tuple(replies))
+        t = c.attack
+        return FailNode(goal, c.side, idx, t.theta, t.action, inst, tuple(replies))
 
     # ------------------------------------------------- strategy re-verification
 
@@ -432,9 +472,7 @@ class _Game:
         the attack's world, where ``x`` and ``y`` are distinct names, and no
         received name can make them equal.  So one binding is enough, and
         every move the box meets on the left has a disjunct that holds."""
-        goal, left = node.goal, node.side == "left"
-        t = self.attacks(goal.left if left else goal.right, goal.depth)[node.attacker_index]
-        c = self._clause(goal, node.side, t)
+        left, c = node.side == "left", self.won[node.goal][1]
         recv_guard = M.Box if left else M.Dia
         subs = []
         for r in node.replies:
@@ -525,6 +563,12 @@ def _check_inputs(left: Process, right: Process) -> None:
         raise ReplicationUnsupported()
 
 
+def _max_eigen(left: Process, right: Process, distinct: Distinction) -> int:
+    """The largest eigenvariable id of a root goal, so that every one of its
+    eigenvariables lies below the next eigenvariable id it is given."""
+    return max(max_eigen_id(n) for n in (left, right, *(m for pair in distinct.pairs for m in pair)))
+
+
 def _run(mode: str, root: Goal, game: _Game) -> BisimResult:
     ok = game.check(root)
     if ok:
@@ -542,14 +586,14 @@ def open_bisim(
 ) -> BisimResult:
     _check_inputs(left, right)
     depth = max(prefix.nabla_count, infer_depth(left), infer_depth(right))
-    ne = max(prefix.eigen_count, max_eigen_id(left), max_eigen_id(right)) + 1
+    ne = max(prefix.eigen_count, _max_eigen(left, right, distinct)) + 1
     root = Goal(depth, ne, distinct, left, right)
     return _run("open", root, _Game("open", max_depth))
 
 
 def _ground_bisim(mode: str, left, right, depth, distinct, max_depth) -> BisimResult:
     _check_inputs(left, right)
-    if max_eigen_id(left) or max_eigen_id(right):
+    if _max_eigen(left, right, distinct):
         raise ValueError("ground modes require an all-nabla prefix")
     if depth is None:
         depth = max(infer_depth(left), infer_depth(right))

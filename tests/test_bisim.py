@@ -27,6 +27,13 @@ class TestOpenBisim:
         p, q, prefix = pair(SANGIORGI_P, SANGIORGI_P, "forall x, forall z")
         assert pb.open_bisim(p, q, prefix).bisimilar
 
+    def test_root_eigenvariables_include_the_distinctions(self):
+        # a received name opens at the goal's next eigenvariable id, which
+        # must be fresh for the distinction as well as for the processes
+        p, q, prefix = pair("x?(u).u!x.0", "x?(u).0", "nabla x")
+        split = pb.Distinction.of((pb.Eigen(3, 1), pb.Nabla(1)))
+        assert pb.open_bisim(p, q, prefix, split).root.next_eigen == 4
+
     def test_sangiorgi_not_open(self):
         p, q, prefix = pair(SANGIORGI_P, SANGIORGI_Q, "forall x, forall z")
         res = pb.open_bisim(p, q, prefix)
@@ -134,6 +141,13 @@ class TestGroundBisim:
         p, q, _ = pair("[x=y]tau.0", "0", "forall x, forall y")
         with pytest.raises(ValueError):
             pb.late_bisim(p, q)
+
+    def test_eigen_distinction_rejected(self):
+        p, q, _ = pair("tau.0", "0", "nabla x")
+        split = pb.Distinction.of((pb.Eigen(1, 0), pb.Nabla(1)))
+        for decide in (pb.late_bisim, pb.early_bisim):
+            with pytest.raises(ValueError):
+                decide(p, q, distinct=split)
 
     def test_reflexive(self):
         p, q, _ = pair(SANGIORGI_Q, SANGIORGI_Q, "nabla x, nabla z")

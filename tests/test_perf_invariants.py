@@ -1,12 +1,18 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
 successors, the per-game successor table and its use by the formula check,
-one witness node per goal with the formula folded from it, the identity
-fast path of ``canonical_key``, playing the game up to structural
-congruence, and cached hashes over shared subterms leave steps, verdicts,
-evidence, keys and hashes unchanged."""
+one witness node per goal with the formula folded from it, witnesses read
+from the decider's record of each refuted goal, repeated goals answered
+before their memo key, the identity fast paths of ``canonical_key``,
+playing the game up to structural congruence, and cached hashes over
+shared subterms leave steps, verdicts, evidence, keys and hashes unchanged,
+and a finished game is freed without the cycle collector."""
 
+import gc
+import hashlib
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -317,6 +323,161 @@ def test_formula_is_folded_from_the_witness(monkeypatch, mode, prefix_text, left
     for name in ("_defended", "_fail_node"):
         monkeypatch.setattr(bisim_mod._Game, name, forbidden)
     assert pb.distinguishing_formula(res) == expected
+
+
+def _digest(text):
+    return hashlib.sha1(text.encode()).hexdigest()[:16]
+
+
+# Per ONE_PASS_CASES refutation: digests of the witness repr and of the
+# formula text, and the formula's side, as the engine gave them when explain
+# still scanned every refuted goal's attacks again.
+ONE_PASS_OUTPUTS = [
+    ("02b8c19b1dc6f401", "96f421b9ed0b0a4d", "left"),
+    ("05c8b75416db5b17", "3eca7b98b09e0958", "left"),
+    ("37e6e288224aa771", "12168ce8122c5d17", "left"),
+    ("db622633b0fdbae4", "9ca7c7abb3560ab9", "left"),
+    ("cfe9d10410bb1772", "92212e0c2ef33cf8", "left"),
+    ("36a83d2f00389871", "39e9f22672a36038", "left"),
+    ("d00249976cab14a8", "44a9e787804aec5a", "left"),
+    ("f5d71cfb52ed045d", "d4449f877236860a", "left"),
+]
+
+
+@pytest.mark.parametrize("case, expected", zip(ONE_PASS_CASES, ONE_PASS_OUTPUTS))
+def test_one_pass_evidence_is_pinned(case, expected):
+    res = _refute(*case)
+    formula, side = pb.distinguishing_formula(res)
+    text = pb.pretty_formula(formula, pb.parse_prefix(case[1]))
+    assert (_digest(repr(res.witness)), _digest(text), side) == expected
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
+def test_explain_reads_the_deciders_record(monkeypatch, mode, prefix_text, left, right):
+    """``explain`` builds the node of a goal that the decider played and
+    refuted from the winning attack the decider recorded: no defence of
+    that goal is tried again.  Only a goal refuted under another goal's memo
+    key has its attacks scanned."""
+    expected = _refute(mode, prefix_text, left, right).witness
+    game = bisim_mod._Game(mode)
+    played, defended, goal_of = set(), [], {}
+    real = {n: getattr(bisim_mod._Game, n) for n in ("check", "_clause", "_defended")}
+
+    def check(self, goal):
+        before = self.stats.goals
+        verdict = real["check"](self, goal)
+        if not verdict and self.stats.goals > before:  # played, not a memo hit
+            played.add(goal)
+        return verdict
+
+    def clause(self, goal, *args):
+        c = real["_clause"](self, goal, *args)
+        goal_of[id(c)] = goal
+        return c
+
+    def counted(self, c):
+        defended.append(goal_of[id(c)])
+        return real["_defended"](self, c)
+
+    for name, fn in (("check", check), ("_clause", clause), ("_defended", counted)):
+        monkeypatch.setattr(bisim_mod._Game, name, fn)
+    assert not game.check(expected.goal)
+    assert expected.goal in played
+    defended.clear()
+    node = game.explain(expected.goal)
+    assert played.isdisjoint(defended)
+    assert repr(node) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "mode, prefix_text",
+    [("open", FORALL3), ("open", NABLA3), ("late", NABLA3), ("early", NABLA3)],
+)
+@pytest.mark.parametrize("partner", [COMM_PAIRS_EXPANSION, "x0!y.0 | x1!y.0"])
+def test_a_repeated_goal_is_answered_before_its_key(monkeypatch, mode, prefix_text, partner):
+    prefix = pb.parse_prefix(prefix_text)
+    p, q = enc(COMM_PAIRS, prefix), enc(partner, prefix)
+    if mode == "open":
+        res = pb.open_bisim(p, q, prefix)
+    else:
+        res = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q, prefix.nabla_count)
+    game = bisim_mod._Game(mode)
+    assert game.check(res.root) is res.bisimilar
+    goals = game.stats.goals
+
+    def refuse(*_args):
+        raise AssertionError("a repeated goal was normalised or keyed again")
+
+    monkeypatch.setattr(game, "_normal_form", refuse)
+    monkeypatch.setattr(bisim_mod, "canonical_key", refuse)
+    assert game.check(replace(res.root)) is res.bisimilar
+    assert game.stats.goals == goals
+
+
+def test_goals_without_eigenvariables_are_their_own_key(monkeypatch):
+    """``canonical_key`` does not walk a goal whose next eigenvariable id is
+    1: every goal of that kind that the game meets on seeded pairs has the
+    key the renaming would give it."""
+    met = []
+    real = bisim_mod._Game.check
+
+    def check(self, goal):
+        met.append(goal)
+        return real(self, goal)
+
+    monkeypatch.setattr(bisim_mod._Game, "check", check)
+    rng = random.Random(13)
+    names = ("a", "b")
+    prefix = make_prefix(names)
+    split = Distinction.of(tuple(prefix.name_map().values()))
+    for _ in range(60):
+        p, q = (enc_tuple(t, prefix) for t in corpus.random_pair(rng, max_prefixes=3, names=names))
+        pb.late_bisim(p, q, prefix.nabla_count)
+        pb.early_bisim(p, q, prefix.nabla_count)
+        pb.open_bisim(p, q, prefix, split)
+    unwalked = [g for g in met if g.next_eigen == 1]
+    assert unwalked and any(g.distinct.pairs for g in unwalked)
+    for g in unwalked:
+        assert canonical_key(g) == renamed_key(g)
+
+
+@pytest.mark.parametrize(
+    "mode, prefix_text",
+    [("open", "forall x"), ("late", "nabla x"), ("early", "nabla x")],
+)
+def test_a_dropped_result_frees_its_game(mode, prefix_text):
+    """No reference cycle runs through a game, so with the collector off a
+    game dies with the last result that holds it, once its evidence has
+    been checked.  A winning attack's clause kept by the game must not
+    refer back to it."""
+    prefix = pb.parse_prefix(prefix_text)
+    pairs = [
+        ("x?(u).u!x.0 | x?(u).u!x.0", "x?(u).u!x.0 | x?(u).u!x.u!x.0"),
+        ("x?(u).0 | tau.0", "x?(u).tau.0 + tau.x?(u).0"),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verdicts = []
+        for left, right in pairs:
+            p, q = enc(left, prefix), enc(right, prefix)
+            if mode == "open":
+                res = pb.open_bisim(p, q, prefix)
+            else:
+                res = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q)
+            verdicts.append(res.bisimilar)
+            if res.bisimilar:
+                assert pb.verify_certificate(res)
+            else:
+                assert pb.verify_witness(res)
+                pb.distinguishing_formula(res)
+            game = weakref.ref(res.game)
+            del res
+            assert game() is None
+        assert verdicts == [False, True]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _tree_nodes(f):

@@ -6,8 +6,10 @@ Runs ``bench/run.py --workload W --seed S --seconds T`` unchanged, in a
 checkout of the parent commit and in this one, on every workload and at the
 run length that ``BENCHMARK.json`` declares: ``PAIRS`` pairs of runs on the
 fixed seed ``SEED``, alternating which checkout runs first so that a drift
-in the host's speed falls on both sides alike.  Then runs ``--trace 1``
-once in each checkout for the per-layer counters.  The output file holds,
+in the host's speed falls on both sides alike.  One discarded ``--seconds 0``
+run in each checkout comes first, so that no measured run is the first one
+after the tree was copied or edited.  Then runs ``--trace 1`` once in each
+checkout for the per-layer counters.  The output file holds,
 per workload and side, every run's end-to-end metrics, their medians and
 quartiles, the pairs the change won per metric, the failed share, and the
 traced figures.  Every end-to-end metric is better when lower.  Runs go one
@@ -50,6 +52,10 @@ def summary(runs: list[dict]) -> dict:
 
 def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: float) -> dict:
     sides = {"parent": [], "change": []}
+    for tree in (parent, change):
+        # discarded: the first run after a tree is copied or edited reads a
+        # higher peak_rss_mb than the same code does afterwards
+        run(tree, workload, seeds[0], 0, 0)
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
