@@ -2,9 +2,20 @@
 
 Each successor is a triple (theta, action, continuation): theta is the most
 general eigenvariable substitution under which the step exists, and bound
-continuations are one-binder-deep terms.  Restriction opens its body at a
-fresh nabla level one above the current depth and re-abstracts it in the
-result, so transitions never leak new levels.
+continuations are one-binder-deep terms.
+
+The paper's clauses for free and bound transitions are ``_free`` and
+``_bound``, one case per constructor.  Prefixes make their one move; a match
+moves as its continuation under the unifier of its names; a sum moves as
+either summand.  Restriction opens its body at a fresh nabla level one above
+the current depth and re-abstracts it in the result, so transitions never
+leak new levels; in ``_bound`` it also turns an output of the fresh name into
+a bound output.  Parallel composition moves one side beside the other
+(``_beside``), and in ``_free`` also lets an input of either side
+communicate with an output of the other (``_communicate``: com for a free
+output, close for a bound one).  Replication ``!q`` uses the same two: a
+move of one copy of ``q``, or a communication between two copies, beside
+``!q``.
 
 The functions here keep no state: every call recomputes the successors of its
 term, computing each parallel operand's free and bound successors once per
@@ -44,6 +55,7 @@ from .syntax import (
     open_abs,
     pretty,
     pretty_action,
+    pretty_name,
 )
 from .unify import IDENTITY, Subst, compose, pretty_subst, unify_names
 
@@ -66,9 +78,11 @@ class Transition:
 
 
 def infer_depth(p: Process) -> int:
-    levels = [n.level for n in free_names(p) if isinstance(n, Nabla)]
-    ceilings = [n.ceiling for n in free_names(p) if isinstance(n, Eigen)]
-    return max(levels + ceilings + [0])
+    return max(
+        (n.level if isinstance(n, Nabla) else n.ceiling
+         for n in free_names(p) if isinstance(n, (Nabla, Eigen))),
+        default=0,
+    )
 
 
 def _dedup(transitions: list[Transition]) -> list[Transition]:
@@ -113,6 +127,50 @@ def _compose_all(ts: list[Transition], rho: Subst) -> list[Transition]:
     return [Transition(compose(t.theta, rho), t.action, t.cont) for t in ts]
 
 
+def _beside(ts: list[Transition], other: Process, swapped: bool = False) -> list[Transition]:
+    """Each move of ``ts`` with ``other``, under the move's unifier, in
+    parallel: to the right of the continuation, or to its left when
+    ``swapped``."""
+    out = []
+    for t in ts:
+        pair = Par(t.theta(other), t.cont) if swapped else Par(t.cont, t.theta(other))
+        out.append(Transition(t.theta, t.action, pair))
+    return out
+
+
+def _communicate(sides: list[tuple], depth: int) -> list[Transition]:
+    """The tau moves in which a bound input meets an output on the same
+    channel.  Each side is ``(inputs, other, free, bound, swapped)``: one
+    process's bound successors, the process beside it, and that process's
+    free and bound successors at ``depth``, recomputed under an input's
+    unifier that is not the identity.  A bound output's name is restricted
+    over both continuations (close); a free output's object is applied to
+    the input's abstraction (com).  Closes come first, then coms, each side
+    in turn; the input's continuation stands left of the output's, right
+    when ``swapped``."""
+    out = []
+    for kind in (BoundOut, FreeOut):
+        for inputs, other, free, bound, swapped in sides:
+            known, moves = (bound, _bound) if kind is BoundOut else (free, _free)
+            for ti in inputs:
+                if not isinstance(ti.action, BoundIn):
+                    continue
+                outputs = known if ti.theta.is_identity() else moves(ti.theta(other), depth)
+                for to in outputs:
+                    if not isinstance(to.action, kind):
+                        continue
+                    rho = unify_names(to.theta.name(ti.action.ch), to.action.ch)
+                    if rho is None:
+                        continue
+                    theta = compose(rho, compose(to.theta, ti.theta))
+                    got, sent = rho(to.theta(ti.cont)), rho(to.cont)
+                    if kind is FreeOut:
+                        got = open_abs(got, rho.name(to.action.obj))
+                    pair = Par(sent, got) if swapped else Par(got, sent)
+                    out.append(Transition(theta, TAU, Nu(pair) if kind is BoundOut else pair))
+    return out
+
+
 def _free(p: Process, depth: int) -> list[Transition]:
     out: list[Transition] = []
     match p:
@@ -130,16 +188,12 @@ def _free(p: Process, depth: int) -> list[Transition]:
             out.extend(_free(left, depth))
             out.extend(_free(right, depth))
         case Par(left, right):
-            free_l, free_r = _free(left, depth), _free(right, depth)
-            bound_l, bound_r = _bound(left, depth), _bound(right, depth)
-            for t in free_l:
-                out.append(Transition(t.theta, t.action, Par(t.cont, t.theta(right))))
-            for t in free_r:
-                out.append(Transition(t.theta, t.action, Par(t.theta(left), t.cont)))
-            out.extend(_close(bound_l, right, bound_r, depth, swapped=False))
-            out.extend(_close(bound_r, left, bound_l, depth, swapped=True))
-            out.extend(_com(bound_l, right, free_r, depth, swapped=False))
-            out.extend(_com(bound_r, left, free_l, depth, swapped=True))
+            free_l, bound_l = _free(left, depth), _bound(left, depth)
+            free_r, bound_r = _free(right, depth), _bound(right, depth)
+            out.extend(_beside(free_l, right))
+            out.extend(_beside(free_r, left, swapped=True))
+            out.extend(_communicate([(bound_l, right, free_r, bound_r, False),
+                                     (bound_r, left, free_l, bound_l, True)], depth))
         case Nu(body):
             fresh = Nabla(depth + 1)
             for t in _free(open_abs(body, fresh), depth + 1):
@@ -147,7 +201,10 @@ def _free(p: Process, depth: int) -> list[Transition]:
                     continue  # extrusion of the restricted name is a bound action
                 out.append(Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh))))
         case Bang(q):
-            out.extend(_rep_free(p, q, depth))
+            # one copy of the body moves, or two copies communicate, beside p
+            free, bound = _free(q, depth), _bound(q, depth)
+            out.extend(_beside(free, p))
+            out.extend(_beside(_communicate([(bound, q, free, bound, True)], depth), p))
         case _:
             raise TypeError(f"not a process: {p!r}")
     return out
@@ -168,10 +225,8 @@ def _bound(p: Process, depth: int) -> list[Transition]:
             out.extend(_bound(left, depth))
             out.extend(_bound(right, depth))
         case Par(left, right):
-            for t in _bound(left, depth):
-                out.append(Transition(t.theta, t.action, Par(t.cont, t.theta(right))))
-            for t in _bound(right, depth):
-                out.append(Transition(t.theta, t.action, Par(t.theta(left), t.cont)))
+            out.extend(_beside(_bound(left, depth), right))
+            out.extend(_beside(_bound(right, depth), left, swapped=True))
         case Nu(body):
             fresh = Nabla(depth + 1)
             opened = open_abs(body, fresh)
@@ -187,109 +242,10 @@ def _bound(p: Process, depth: int) -> list[Transition]:
                         out.append(
                             Transition(t.theta, BoundOut(ch), close_abs(t.cont, fresh))
                         )
-                    case _:
-                        pass
         case Bang(q):
-            for t in _bound(q, depth):
-                out.append(
-                    Transition(t.theta, t.action, Par(t.cont, t.theta(Bang(q))))
-                )
+            out.extend(_beside(_bound(q, depth), p))
         case _:
             raise TypeError(f"not a process: {p!r}")
-    return out
-
-
-def _close(
-    inputs: list[Transition],
-    other: Process,
-    other_bound: list[Transition],
-    depth: int,
-    swapped: bool,
-) -> list[Transition]:
-    """Pair a bound input of one side (``inputs``, that side's bound
-    successors) with a bound output of ``other``; the result restricts the
-    communicated name over both continuations.  ``other_bound`` is
-    ``_bound(other, depth)``, reused when the input needs no substitution."""
-    out = []
-    for ti in inputs:
-        if not isinstance(ti.action, BoundIn):
-            continue
-        outs = other_bound if ti.theta.is_identity() else _bound(ti.theta(other), depth)
-        for to in outs:
-            if not isinstance(to.action, BoundOut):
-                continue
-            rho = unify_names(to.theta.name(ti.action.ch), to.action.ch)
-            if rho is None:
-                continue
-            theta = compose(rho, compose(to.theta, ti.theta))
-            in_body = rho(to.theta(ti.cont))
-            out_body = rho(to.cont)
-            pair = (out_body, in_body) if swapped else (in_body, out_body)
-            out.append(Transition(theta, TAU, Nu(Par(*pair))))
-    return out
-
-
-def _com(
-    inputs: list[Transition],
-    other: Process,
-    other_free: list[Transition],
-    depth: int,
-    swapped: bool,
-) -> list[Transition]:
-    """Pair a bound input of one side with a free output of ``other``;
-    ``other_free`` is ``_free(other, depth)``, reused as in ``_close``."""
-    out = []
-    for ti in inputs:
-        if not isinstance(ti.action, BoundIn):
-            continue
-        frees = other_free if ti.theta.is_identity() else _free(ti.theta(other), depth)
-        for tf in frees:
-            if not isinstance(tf.action, FreeOut):
-                continue
-            rho = unify_names(tf.theta.name(ti.action.ch), tf.action.ch)
-            if rho is None:
-                continue
-            theta = compose(rho, compose(tf.theta, ti.theta))
-            obj = rho.name(tf.action.obj)
-            applied = open_abs(rho(tf.theta(ti.cont)), obj)
-            other_cont = rho(tf.cont)
-            pair = (other_cont, applied) if swapped else (applied, other_cont)
-            out.append(Transition(theta, TAU, Par(*pair)))
-    return out
-
-
-def _rep_free(whole: Process, q: Process, depth: int) -> list[Transition]:
-    out = []
-    # one free action of the body, in parallel with a fresh copy
-    for t in _free(q, depth):
-        out.append(Transition(t.theta, t.action, Par(t.cont, t.theta(whole))))
-    # self-communication: free output meets bound input of another copy
-    for tf in _free(q, depth):
-        if not isinstance(tf.action, FreeOut):
-            continue
-        for ti in _bound(tf.theta(q), depth):
-            if not isinstance(ti.action, BoundIn):
-                continue
-            rho = unify_names(ti.theta.name(tf.action.ch), ti.action.ch)
-            if rho is None:
-                continue
-            theta = compose(rho, compose(ti.theta, tf.theta))
-            obj = rho.name(ti.theta.name(tf.action.obj))
-            left = Par(rho(ti.theta(tf.cont)), open_abs(rho(ti.cont), obj))
-            out.append(Transition(theta, TAU, Par(left, theta(whole))))
-    # self-communication with extrusion: bound output meets bound input
-    for to in _bound(q, depth):
-        if not isinstance(to.action, BoundOut):
-            continue
-        for ti in _bound(to.theta(q), depth):
-            if not isinstance(ti.action, BoundIn):
-                continue
-            rho = unify_names(ti.theta.name(to.action.ch), ti.action.ch)
-            if rho is None:
-                continue
-            theta = compose(rho, compose(ti.theta, to.theta))
-            closed = Nu(Par(rho(ti.theta(to.cont)), rho(ti.cont)))
-            out.append(Transition(theta, TAU, Par(closed, theta(whole))))
     return out
 
 
@@ -357,13 +313,8 @@ def lts_graph(p: Process, max_states: int, depth: int | None = None) -> Graph:
 
 
 def edge_label(e: Edge, prefix: Prefix = Prefix(())) -> str:
-    from .syntax import pretty_name
-
-    act = pretty_action(e.action, prefix)
-    if e.instance is not None:
-        shown = pretty_name(e.instance, prefix)
-        act = act[: act.rindex("(")] + f"({shown})"
-    return f"{act} ; {pretty_subst(e.theta, prefix)}"
+    shown = None if e.instance is None else pretty_name(e.instance, prefix)
+    return f"{pretty_action(e.action, prefix, shown)} ; {pretty_subst(e.theta, prefix)}"
 
 
 def to_dot(g: Graph, prefix: Prefix = Prefix(())) -> str:

@@ -958,9 +958,16 @@ def _fresh_binder(taken: set) -> str:
 
 
 class _Namer:
-    def __init__(self, prefix: Prefix):
+    """Display names: a name the prefix declares reads as its ident, any
+    other constant or eigenvariable as ``n<level>`` or ``e<id>`` (suffixed
+    ``_<i>`` when that is taken), and binders are picked fresh.  Taken are
+    the prefix's idents and those of the ``Free`` names in ``term``."""
+
+    def __init__(self, prefix: Prefix, term=None):
         self.by_name = prefix.idents_by_name()
         self.taken = set(prefix.idents)
+        if term is not None:
+            self.taken |= surface_free_idents(term)
 
     def name(self, n: Name, binders: list[str]) -> str:
         match n:
@@ -973,9 +980,12 @@ class _Namer:
             case _:
                 if n in self.by_name:
                     return self.by_name[n]
-                if isinstance(n, Nabla):
-                    return f"n{n.level}"
-                return f"e{n.id}"
+                shown = base = f"n{n.level}" if isinstance(n, Nabla) else f"e{n.id}"
+                i = 0
+                while shown in self.taken:
+                    i += 1
+                    shown = f"{base}_{i}"
+                return shown
 
     def binder(self, binders: list[str]) -> str:
         return _fresh_binder(self.taken | set(binders))
@@ -985,7 +995,7 @@ _SUM_LVL, _PAR_LVL, _UNARY_LVL = 0, 1, 2
 
 
 def pretty(p: Process, prefix: Prefix = Prefix(())) -> str:
-    namer = _Namer(prefix)
+    namer = _Namer(prefix, p)
 
     def go(p: Process, need: int, binders: list[str]) -> str:
         match p:

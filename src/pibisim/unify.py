@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, map_names
+from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, map_names, pretty_name
 
 
 class InternalError(Exception):
@@ -173,8 +173,6 @@ def prefix_distinction(prefix: Prefix) -> Distinction:
 
 
 def pretty_subst(theta: Subst, prefix: Prefix = Prefix(())) -> str:
-    from .syntax import pretty_name
-
     inner = ", ".join(
         f"{pretty_name(var, prefix)}:={pretty_name(val, prefix)}"
         for var, val in theta.bindings

@@ -43,6 +43,27 @@ class TestGoldenExamples:
         assert code == 0
         assert out.splitlines() == ["{} ; x!(w) ; tau.0"]
 
+    def test_steps_bound_binder_does_not_capture_the_received_name(self, capsys):
+        code, out, _ = run(
+            capsys, "steps", "--bound", "--prefix",
+            "nabla y, nabla z, nabla u, nabla v, nabla x", "x?(a).a?(b).a!b.0",
+        )
+        assert code == 0
+        assert out.splitlines() == ["{} ; x?(w) ; w?(m).w!m.0"]
+
+    def test_lts_fresh_constant_is_not_named_like_a_prefix_entry(self, capsys):
+        code, out, _ = run(capsys, "lts", "--prefix", "nabla n3, nabla x", "x?(u).u!n3.0")
+        assert code == 0
+        assert out.splitlines() == [
+            "5 states, 6 edges",
+            "  0 -> 1 : x?(n3) ; {}",
+            "  0 -> 2 : x?(x) ; {}",
+            "  0 -> 3 : x?(n3_1) ; {}",
+            "  1 -> 4 : n3!n3 ; {}",
+            "  2 -> 4 : x!n3 ; {}",
+            "  3 -> 4 : n3_1!n3 ; {}",
+        ]
+
     def test_bisim_late_negative_example(self, capsys):
         code, out, _ = run(
             capsys,

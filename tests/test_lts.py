@@ -141,6 +141,60 @@ class TestReplication:
         assert expected in conts
 
 
+class TestReplicationCommunication:
+    """Two copies of a replicated body communicate beside a fresh copy: an
+    input meets a bound output (close) or a free output (com) of the other
+    copy.  Closes come first, then coms, each input by input."""
+
+    def test_self_close(self):
+        p = enc("!((nu z)x!z.0 + x?(u).u!u.0)", "nabla x")
+        closed = Nu(Par(NIL, Out(Bound(0), Bound(0), NIL)))
+        assert frees(p) == [(IDENTITY, pb.TAU, Par(closed, p))]
+
+    def test_self_com_two_inputs_three_outputs(self):
+        prefix = "nabla x, nabla a, nabla b"
+        p = enc("!(x!a.0 + x!b.0 + (nu z)x!z.0 + x?(u).u!u.0 + x?(v).tau.v!v.0)", prefix)
+        a, b = Nabla(2), Nabla(3)
+        assert frees(p) == [
+            (IDENTITY, pb.FreeOut(Nabla(1), a), Par(NIL, p)),
+            (IDENTITY, pb.FreeOut(Nabla(1), b), Par(NIL, p)),
+            (IDENTITY, pb.TAU, Par(Nu(Par(NIL, Out(Bound(0), Bound(0), NIL))), p)),
+            (IDENTITY, pb.TAU, Par(Nu(Par(NIL, TauPref(Out(Bound(0), Bound(0), NIL)))), p)),
+            (IDENTITY, pb.TAU, Par(Par(NIL, Out(a, a, NIL)), p)),
+            (IDENTITY, pb.TAU, Par(Par(NIL, Out(b, b, NIL)), p)),
+            (IDENTITY, pb.TAU, Par(Par(NIL, TauPref(Out(a, a, NIL))), p)),
+            (IDENTITY, pb.TAU, Par(Par(NIL, TauPref(Out(b, b, NIL))), p)),
+        ]
+
+    def test_input_unifier_recomputes_the_partner(self):
+        # The input moves under {x:=y}; its partner's moves are recomputed
+        # under it, so the com sends y where the unsubstituted partner
+        # would send x.
+        prefix = "forall x, forall y"
+        x, y = Eigen(1, 0), Eigen(2, 0)
+        theta = singleton(x, y)
+        receiver = enc("[x=y]x?(u).u!u.0", prefix)
+        sender = enc("(nu z)y!z.0 + y!x.0", prefix)
+        got, closed_got = Out(y, y, NIL), Out(Bound(0), Bound(0), NIL)
+        assert frees(Par(receiver, sender)) == [
+            (IDENTITY, pb.FreeOut(y, x), Par(receiver, NIL)),
+            (theta, pb.TAU, Nu(Par(closed_got, NIL))),
+            (theta, pb.TAU, Par(got, NIL)),
+        ]
+        assert frees(Par(sender, receiver)) == [
+            (IDENTITY, pb.FreeOut(y, x), Par(NIL, receiver)),
+            (theta, pb.TAU, Nu(Par(NIL, closed_got))),
+            (theta, pb.TAU, Par(NIL, got)),
+        ]
+        p = enc("!([x=y]x?(u).u!u.0 + (nu z)y!z.0 + y!x.0)", prefix)
+        copy = enc("!([y=y]y?(u).u!u.0 + (nu z)y!z.0 + y!y.0)", prefix)
+        assert frees(p) == [
+            (IDENTITY, pb.FreeOut(y, x), Par(NIL, p)),
+            (theta, pb.TAU, Par(Nu(Par(NIL, closed_got)), copy)),
+            (theta, pb.TAU, Par(Par(NIL, got), copy)),
+        ]
+
+
 class TestHasNoTransition:
     def test_negative_example(self):
         assert pb.has_no_transition(enc("(nu y)[x=y]x!z.0", "nabla x, nabla z"))

@@ -392,6 +392,20 @@ class TestPretty:
         assert pb.pretty_action(pb.FreeOut(Nabla(1), Nabla(2)), prefix) == "x!z"
         assert pb.pretty_action(pb.TAU, prefix) == "tau"
 
+    def test_undeclared_names_avoid_the_prefix_idents(self):
+        prefix = pfx("nabla n4, nabla n4_1, forall e2, nabla x")
+        assert pb.pretty_name(Nabla(4), prefix) == "n4_2"
+        assert pb.pretty_name(Eigen(2, 2), prefix) == "e2_1"
+        assert pb.pretty_name(Nabla(5), prefix) == "n5"
+        assert pb.pretty(Out(Nabla(4), Nabla(1), NIL), prefix) == "n4_2!n4.0"
+
+    def test_binders_avoid_free_idents_of_the_term(self):
+        # a term opened at a display name keeps that name apart from its
+        # own binders
+        prefix = pfx("nabla y, nabla z, nabla u, nabla v")
+        body = In(Bound(0), Out(Bound(1), Bound(0), NIL))
+        assert pb.pretty(pb.open_abs(body, pb.Free("w")), prefix) == "w?(m).w!m.0"
+
 
 class TestOpenClose:
     def test_open_then_close(self):
