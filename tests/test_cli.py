@@ -41,7 +41,7 @@ class TestGoldenExamples:
             capsys, "steps", "--bound", "--prefix", "nabla x", "(nu z)x!z.tau.0"
         )
         assert code == 0
-        assert out.splitlines() == ["{} ; x!(w) ; tau.0"]
+        assert out.splitlines() == ["{} ; x!(y) ; tau.0"]
 
     def test_steps_bound_binder_does_not_capture_the_received_name(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,12 @@
 """Symbolic one-step transitions: free, bound, replication, graphs."""
 
+import hashlib
+import random
+
 import pytest
 
 import pibisim as pb
+from pibisim import lts as lts_mod
 from pibisim.syntax import (
     Bang,
     Bound,
@@ -16,6 +20,10 @@ from pibisim.syntax import (
     TauPref,
 )
 from pibisim.unify import IDENTITY, singleton
+
+import corpus
+from agree import steps_agree
+from oracles import o_bound, o_free
 
 NIL = Nil()
 
@@ -193,6 +201,118 @@ class TestReplicationCommunication:
             (theta, pb.TAU, Par(Nu(Par(NIL, closed_got)), copy)),
             (theta, pb.TAU, Par(Par(NIL, got), copy)),
         ]
+
+
+SWEEP_NAMES = ("a", "b")
+
+
+def _guarded(rng, k: int) -> tuple:
+    """A random summand that a copy of it can communicate with: an input,
+    a free or bound output, or a tau, on ``a`` or ``b``, binding ``x<k>``."""
+    ch, obj, x = rng.choice(SWEEP_NAMES), rng.choice(SWEEP_NAMES), f"x{k}"
+    kind = rng.choice(("in", "out", "bout", "tau"))
+    if kind == "in":
+        return ("in", ch, x, corpus.random_proc(rng, 2, SWEEP_NAMES + (x,)))
+    if kind == "bout":
+        return ("nu", x, ("out", ch, x, corpus.random_proc(rng, 2, SWEEP_NAMES + (x,))))
+    cont = corpus.random_proc(rng, 2, SWEEP_NAMES)
+    return ("out", ch, obj, cont) if kind == "out" else ("tau", cont)
+
+
+def _guarded_sum(rng) -> tuple:
+    n = rng.randint(2, 4)
+    body = _guarded(rng, n)
+    for k in range(n - 1, 0, -1):
+        body = ("sum", _guarded(rng, k), body)
+    return body
+
+
+def bang_sweep() -> list[tuple]:
+    """``!q`` for 400 seeded bodies, built here so that the corpus's own
+    generators stay as they are (its replicated bodies have at most two
+    prefixes).  Half the bodies are ``corpus.random_proc(rng, 4, ...)``, which
+    offer a self-com now and then and a self-close almost never; half are
+    sums of two to four ``_guarded`` summands, which offer both, often two or
+    more at once."""
+    rng = random.Random(36)
+    sweep = [("bang", corpus.random_proc(rng, 4, SWEEP_NAMES)) for _ in range(200)]
+    sweep += [("bang", _guarded_sum(rng)) for _ in range(200)]
+    return sweep
+
+
+def pinned_terms():
+    """The sweep under every mix of nabla and forall over ``a, b`` in which
+    a match can give a unifier or none, and, under the mixed prefixes,
+    seeded random terms with replication anywhere and sums guarded by
+    ``[a=b]`` beside sums, whose inputs meet their partners' moves under the
+    match's unifier."""
+    sweep = [corpus.to_text(p) for p in bang_sweep()]
+    rng = random.Random(37)
+    seeded = [corpus.to_text(corpus.random_proc(rng, 5, SWEEP_NAMES, allow_bang=True))
+              for _ in range(300)]
+    seeded += [corpus.to_text(("par", ("match", "a", "b", _guarded_sum(rng)), _guarded_sum(rng)))
+               for _ in range(200)]
+    yield from ((text, "nabla a, nabla b") for text in sweep)
+    for prefix in ("forall a, forall b", "nabla a, forall b", "forall a, nabla b"):
+        yield from ((text, prefix) for text in sweep + seeded)
+
+
+# sha256 over the repr of both successor lists of every pinned term, in order
+SUCCESSORS_PIN = "55f81c7ad71233c4ab6a6429aa340e6f4323cb5616e6c943d57cb9fe37adee2b"
+
+
+class TestReplicationSweep:
+    def test_sweep_agrees_with_oracle(self):
+        for p in bang_sweep():
+            assert steps_agree(p, SWEEP_NAMES), corpus.to_text(p)
+
+    def test_sweep_offers_both_communications(self):
+        # the sweep is only as strong as the self-communications of its bodies
+        closes = coms = 0
+        for _, q in bang_sweep():
+            bound = o_bound(q)
+            inputs = {ch for kind, ch, _ in bound if kind == "bin"}
+            closes += any(kind == "bout" and ch in inputs for kind, ch, _ in bound)
+            coms += any(a[0] == "out" and a[1] in inputs for a, _ in o_free(q))
+        assert closes >= 10 and coms >= 10
+
+    def test_successor_lists_pinned(self):
+        h = hashlib.sha256()
+        for text, prefix in pinned_terms():
+            p = enc(text, prefix)
+            h.update(repr((pb.successors_free(p), pb.successors_bound(p))).encode())
+        assert h.hexdigest() == SUCCESSORS_PIN
+
+
+class TestOneEntryMemo:
+    """``successors_free`` and ``successors_bound`` read one pass per term
+    and depth through a one-entry memo."""
+
+    def test_alternating_terms(self):
+        p = enc("x?(u).0 + tau.0", "nabla x")
+        q = enc("x!x.0", "nabla x")
+        expected = {
+            p: ([(IDENTITY, pb.TAU, NIL)], [(IDENTITY, pb.BoundIn(Nabla(1)), NIL)]),
+            q: ([(IDENTITY, pb.FreeOut(Nabla(1), Nabla(1)), NIL)], []),
+        }
+        for r in (p, q, p, q, q, p):
+            assert (frees(r), bounds(r)) == expected[r]
+            assert (bounds(r), frees(r)) == expected[r][::-1]
+
+    def test_depth_is_part_of_the_key(self):
+        # at depth 1 the restricted name opens at level 2, which is x's
+        p = enc("(nu y)x!y.0", "nabla a, nabla x")
+        extruded = [(IDENTITY, pb.BoundOut(Nabla(2)), NIL)]
+        for depth, want in ((1, []), (2, extruded), (1, []), (None, extruded)):
+            assert bounds(p, depth) == want and frees(p, depth) == []
+
+    def test_inferred_depth_shares_the_pass(self, monkeypatch):
+        p = enc("(nu y)x!y.0 | x?(u).0", "nabla a, nabla x")
+        passes, moves = [], lts_mod._moves
+        monkeypatch.setattr(lts_mod, "_moves", lambda q, d: passes.append(q) or moves(q, d))
+        pb.successors_free(p)
+        pb.successors_bound(p, pb.infer_depth(p))
+        assert passes.count(p) == 1
 
 
 class TestHasNoTransition:
