@@ -94,7 +94,6 @@ from .syntax import (
     normal_form,
     open_abs,
     right_nest,
-    walk_names,
 )
 from .unify import (
     Distinction,
@@ -183,9 +182,10 @@ def canonical_key(goal: Goal):
         if isinstance(n, Eigen) and n.id not in seen:
             seen.add(n.id)
             order.append(n)
+        return n
 
-    walk_names(goal.left, note)
-    walk_names(goal.right, note)
+    map_names(goal.left, note)
+    map_names(goal.right, note)
     for a, b in sorted(goal.distinct.pairs, key=_pair_key):
         note(a, 0)
         note(b, 0)
@@ -508,28 +508,10 @@ class _Game:
             goal.right, f, depth=d, **walk
         )
 
-    _ENUM_CAP = 50_000
-
     def _enumerate_separator(self, goal: Goal) -> M.Formula | None:
-        """A search over LM formulas of depth <= 3 that no engine path calls;
-        bench/layers.py still wraps it, and modal.enumerate_lm, by name."""
-        names: list[Name] = [Nabla(l) for l in range(1, goal.depth + 1)]
-        seen: set[int] = set()
-
-        def note(n, _d):
-            if isinstance(n, Eigen) and n.id not in seen:
-                seen.add(n.id)
-                names.append(n)
-
-        walk_names(goal.left, note)
-        walk_names(goal.right, note)
-        tried = 0
-        for f in M.enumerate_lm(names, 3):
-            tried += 1
-            if tried > self._ENUM_CAP:
-                return None
-            if self._holds_left_only(goal, f):
-                return f
+        """Always ``None``: no engine path searches for a separator, since
+        each refutation's formula is folded from the decider's record.  It
+        stays defined because ``bench/layers.py`` wraps it by name."""
         return None
 
 

@@ -67,7 +67,6 @@ from .syntax import (
     map_names,
     open_abs,
     right_nest,
-    walk_names,
     IDENT_RE,
     KEYWORDS,
     _BINDING_LABELS,
@@ -104,7 +103,12 @@ def formula_names(f: Formula, env: tuple = (), depth: int = 0) -> frozenset:
     under ``depth`` binders not yet opened and, outside them, under the
     binders whose opened names are ``env`` (see ``_name_at``)."""
     acc: set = set()
-    walk_names(f, lambda n, d: acc.add(_name_at(n, env, d)), depth)
+
+    def note(n, d):
+        acc.add(_name_at(n, env, d))
+        return n
+
+    map_names(f, note, depth)
     return frozenset(n for n in acc if isinstance(n, (Nabla, Eigen)))
 
 

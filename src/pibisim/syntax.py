@@ -17,9 +17,11 @@ the token strings of the whole text, which one regex ``split`` cuts out.
 A ``Prefix`` builds its name map and counts once, and ``parse_prefix`` is
 memoised by text, so a query's prefix is parsed and mapped once.
 
-Processes, actions and formulas bind names alike and share one name walk
-(``map_names``, ``walk_names``), so ``open_abs``, ``close_abs``,
-``free_names``, ``encode`` and ``unify.Subst`` serve all three.
+Processes, actions and formulas bind names alike and share one name walk,
+``map_names``, so ``open_abs``, ``close_abs``, ``free_names``, ``encode``
+and ``unify.Subst`` serve all three.  A reader that only collects names
+passes a callback that returns each name unchanged, and gets the term back
+itself, with nothing built.
 """
 
 from __future__ import annotations
@@ -272,7 +274,9 @@ def map_names(term, f, depth: int = 0):
     """Rebuild ``term`` (Process, Action or Formula) applying ``f(name, depth)``
     to every name occurrence, where ``depth`` counts binders crossed.  A node
     none of whose names and children change is returned itself, not a copy, so
-    an unchanged subterm keeps its identity, its cached hash and its sharing."""
+    an unchanged subterm keeps its identity, its cached hash and its sharing.
+    Names are visited left to right, each node's own names before its
+    children's, which is the order first-occurrence numberings read."""
     match term:
         case Nil():
             return term
@@ -327,52 +331,6 @@ def _map_label(label, f, depth: int):
     raise TypeError(f"not a process, action or formula: {label!r}")
 
 
-def walk_names(term, f, depth: int = 0) -> None:
-    """Call ``f(name, depth)`` on every name occurrence of ``term`` (Process,
-    Action or Formula) in ``map_names`` order, building nothing."""
-    while True:
-        match term:
-            case TauPref(cont) | Bang(cont):
-                term = cont
-            case Out(a, b, cont) | Match(a, b, cont):
-                f(a, depth)
-                f(b, depth)
-                term = cont
-            case In(ch, body):
-                f(ch, depth)
-                term, depth = body, depth + 1
-            case Nu(body):
-                term, depth = body, depth + 1
-            case Sum(left, right) | Par(left, right):
-                walk_names(left, f, depth)
-                term = right
-            case Nil() | Tau() | TrueF() | FalseF():
-                return
-            case Dia(label, body) | Box(label, body):
-                _walk_label(label, f, depth)
-                term, depth = body, depth + isinstance(label, _BINDING_LABELS)
-            case And(left, right) | Or(left, right):
-                walk_names(left, f, depth)
-                term = right
-            case _:
-                _walk_label(term, f, depth)
-                return
-
-
-def _walk_label(label, f, depth: int) -> None:
-    """``walk_names`` on an action or another modality label."""
-    match label:
-        case FreeOut(a, b) | Eq(a, b):
-            f(a, depth)
-            f(b, depth)
-        case BoundOut(ch) | BoundIn(ch) | LateIn(ch) | EarlyIn(ch):
-            f(ch, depth)
-        case Tau():
-            pass
-        case _:
-            raise TypeError(f"not a process, action or formula: {label!r}")
-
-
 def open_abs(body, name: Name):
     """Instantiate a one-binder-deep term: the dangling index becomes ``name``
     and deeper dangling indices shift down by one."""
@@ -412,11 +370,12 @@ def free_names(term) -> frozenset:
     def f(n, _d):
         if isinstance(n, (Nabla, Eigen)):
             acc.add(n)
+        return n
 
     if isinstance(term, (Bound, Nabla, Eigen, Free)):
         f(term, 0)
     else:
-        walk_names(term, f)
+        map_names(term, f)
     return frozenset(acc)
 
 
@@ -557,29 +516,6 @@ def contains_bang(p: Process) -> bool:
             return contains_bang(body)
         case Sum(left, right) | Par(left, right):
             return contains_bang(left) or contains_bang(right)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def prefix_count(p: Process) -> int:
-    """Number of action prefixes (tau/in/out); strictly decreases along
-    Bang-free transitions."""
-    match p:
-        case Nil():
-            return 0
-        case TauPref(cont):
-            return 1 + prefix_count(cont)
-        case Out(_, _, cont):
-            return 1 + prefix_count(cont)
-        case In(_, body):
-            return 1 + prefix_count(body)
-        case Match(_, _, cont):
-            return prefix_count(cont)
-        case Sum(left, right) | Par(left, right):
-            return prefix_count(left) + prefix_count(right)
-        case Nu(body):
-            return prefix_count(body)
-        case Bang(cont):
-            return prefix_count(cont)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -913,8 +849,9 @@ def surface_free_idents(p: Process) -> frozenset:
     def f(n, _d):
         if isinstance(n, Free):
             acc.add(n.ident)
+        return n
 
-    walk_names(p, f)
+    map_names(p, f)
     return frozenset(acc)
 
 
@@ -1044,8 +981,9 @@ def _uses_binder(body: Process) -> bool:
         nonlocal used
         if isinstance(n, Bound) and n.index == d:
             used = True
+        return n
 
-    walk_names(body, f)
+    map_names(body, f)
     return used
 
 
@@ -1055,7 +993,7 @@ def pretty_name(n: Name, prefix: Prefix = Prefix(())) -> str:
 
 def pretty_action(a: Action, prefix: Prefix = Prefix(()), binder: str | None = None) -> str:
     namer = _Namer(prefix)
-    return _label_text(a, namer, [], binder or "w")
+    return _label_text(a, namer, [], binder or namer.binder([]))
 
 
 def _label_text(label: Label, namer: _Namer, binders: list[str], binder: str = "") -> str:

@@ -39,7 +39,6 @@ from pibisim.syntax import (
     map_names,
     normal_form,
     open_abs,
-    walk_names,
 )
 from pibisim.unify import Distinction, EMPTY_DISTINCTION
 
@@ -784,8 +783,9 @@ def dangling(q):
     def note(n, d):
         if isinstance(n, pb.Bound) and n.index >= d:
             out.add(n.index - d)
+        return n
 
-    walk_names(q, note)
+    map_names(q, note)
     return out
 
 
@@ -839,9 +839,8 @@ def layer_formulas(seed, count):
 
 def test_unchanged_formulas_are_returned_themselves():
     """Formulas go through the processes' name walk: a formula node none of
-    whose names and children change is returned itself, closing and opening
-    at a name are inverse, and ``walk_names`` visits names as ``map_names``
-    does."""
+    whose names and children change is returned itself, and closing and
+    opening at a name are inverse."""
     a, b = (pb.parse_prefix(CONGRUENCE_PREFIX).name_map()[n] for n in "ab")
     w = Eigen(7, 1)
     absent = pb.Subst.of((w, b))
@@ -860,10 +859,6 @@ def test_unchanged_formulas_are_returned_themselves():
         else:
             assert closed is f
         assert open_abs(closed, a) == f
-        walked, mapped = [], []
-        walk_names(f, lambda n, d: walked.append((n, d)))
-        map_names(f, lambda n, d: mapped.append((n, d)) or n)
-        assert walked == mapped
     connectives = {modal_mod.TrueF, modal_mod.FalseF, modal_mod.And, modal_mod.Or}
     assert set(Formula.__args__) == connectives | {Dia, Box}
     # the 18 shapes: the connectives, and a diamond and a box per label

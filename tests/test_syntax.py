@@ -392,6 +392,11 @@ class TestPretty:
         assert pb.pretty_action(pb.FreeOut(Nabla(1), Nabla(2)), prefix) == "x!z"
         assert pb.pretty_action(pb.TAU, prefix) == "tau"
 
+    def test_default_binder_avoids_the_prefix_idents(self):
+        prefix = pfx("nabla x, nabla w, nabla y")
+        assert pb.pretty_action(pb.BoundIn(Nabla(2)), prefix) == "w?(z)"
+        assert pb.pretty_action(pb.BoundOut(Nabla(1)), prefix) == "x!(z)"
+
     def test_undeclared_names_avoid_the_prefix_idents(self):
         prefix = pfx("nabla n4, nabla n4_1, forall e2, nabla x")
         assert pb.pretty_name(Nabla(4), prefix) == "n4_2"
