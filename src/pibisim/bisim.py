@@ -57,9 +57,14 @@ in the decider's order.
 only enumerates moves and never decides a goal, and replays each node once.
 The distinguishing formula is folded from the same nodes, one modality per
 node, with no search: a diamond where the left side attacks, a box where the
-right one does.  An open box also meets the left side's moves that answer the
-attack only under a unifier, and the clause lists these conditional answers,
-one ``<x=y>true`` guard each.  The formula is machine-checked on both sides
+right one does.  Different defender replies often fold to equal formulas, and
+the fold keeps each operand of its conjunction or disjunction once, compared
+structurally: ``A & A`` and ``A v A`` mean ``A`` in every mode, since
+satisfaction reads both connectives as plain Boolean ones, so the formula
+separates the same processes and is checked at its smaller size.  An open
+box also meets the left side's moves that answer the attack only under a
+unifier, and the clause lists these conditional answers, one ``<x=y>true``
+guard each.  The formula is machine-checked on both sides
 before it is returned, where the game plays: each process as given at the
 root, and every continuation below it in the game's normal form, so the
 check reads its successors from the game's own table.  Each side's check is
@@ -471,7 +476,13 @@ class _Game:
         coincide.  It is false on the right: the attack's own move is met in
         the attack's world, where ``x`` and ``y`` are distinct names, and no
         received name can make them equal.  So one binding is enough, and
-        every move the box meets on the left has a disjunct that holds."""
+        every move the box meets on the left has a disjunct that holds.
+
+        Replies and guards that fold to equal formulas are kept once each, in
+        first-occurrence order, before the chain is nested: a repeated
+        conjunct or disjunct changes no verdict in any mode, and dropping it
+        here means the check, ``close_abs`` and the printer all see the
+        smaller formula."""
         left, c = node.side == "left", self.won[node.goal][1]
         recv_guard = M.Box if left else M.Dia
         subs = []
@@ -480,6 +491,7 @@ class _Game:
             subs.append(recv_guard(M.Eq(_RECV, r.instantiation), h) if c.shape == _LATE else h)
         if not left and self.mode == "open":
             subs += [M.Dia(M.Eq(x, y), M.TRUE) for x, y in c.conditional()]
+        subs = list(dict.fromkeys(subs))
         body = right_nest(M.And, subs, M.TRUE) if left else right_nest(M.Or, subs, M.FALSE)
         if c.shape == _EARLY:
             body = recv_guard(M.Eq(_RECV, node.instantiation), body)

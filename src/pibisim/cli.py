@@ -32,6 +32,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _at_least(least: int):
+    """An argparse type for an integer no smaller than ``least``; any other
+    text is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pibisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,7 +70,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("lts", help="reachable transition graph")
     sp.add_argument("process")
-    sp.add_argument("--max-states", type=int, default=10000)
+    sp.add_argument("--max-states", type=_at_least(1), default=10000)
     sp.add_argument("--dot", metavar="FILE", help="write the graph in DOT format")
     common(sp)
     sp.set_defaults(fn=_cmd_lts)
@@ -71,7 +87,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("process")
     sp.add_argument("formula")
     sp.add_argument("--mode", choices=("ground", "open"), default="ground")
-    sp.add_argument("--fresh", type=int, default=None, help="override the fresh-name budget")
+    sp.add_argument(
+        "--fresh", type=_at_least(0), default=None, help="override the fresh-name budget"
+    )
     common(sp)
     sp.set_defaults(fn=_cmd_check)
 

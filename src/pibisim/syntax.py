@@ -83,8 +83,9 @@ Name = Bound | Nabla | Eigen | Free
 
 @dataclass(frozen=True, slots=True)
 class _Term:
-    """Base of the compound process constructors: a slot for the node's
-    hash, filled on its first use (see ``_hash_once``)."""
+    """Base of the compound process constructors and of the formula
+    connectives and modalities: a slot for the node's hash, filled on its
+    first use (see ``_hash_once``)."""
 
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -164,9 +165,6 @@ def _hash_once(*fields: str):
     return __hash__
 
 
-for _cls in (TauPref, Out, In, Match, Sum, Par, Nu, Bang):
-    _cls.__hash__ = _hash_once(*_cls.__match_args__)
-
 NIL = Nil()
 
 # -------------------------------------------------------------------------- actions
@@ -210,14 +208,14 @@ class FalseF:
     pass
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True)
+class And(_Term):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, slots=True)
+class Or(_Term):
     left: "Formula"
     right: "Formula"
 
@@ -250,14 +248,14 @@ Label = Action | Eq | LateIn | EarlyIn
 _BINDING_LABELS = (BoundOut, BoundIn, LateIn, EarlyIn)
 
 
-@dataclass(frozen=True)
-class Dia:
+@dataclass(frozen=True, slots=True)
+class Dia(_Term):
     label: Label
     body: "Formula"  # one binder deep when the label binds a name
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, slots=True)
+class Box(_Term):
     label: Label
     body: "Formula"  # one binder deep when the label binds a name
 
@@ -266,6 +264,9 @@ Formula = TrueF | FalseF | And | Or | Dia | Box
 
 TRUE = TrueF()
 FALSE = FalseF()
+
+for _cls in (TauPref, Out, In, Match, Sum, Par, Nu, Bang, And, Or, Dia, Box):
+    _cls.__hash__ = _hash_once(*_cls.__match_args__)
 
 # ------------------------------------------------------------------- name traversal
 

@@ -332,6 +332,29 @@ class TestFlags:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_lts_max_states_below_one_is_a_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "lts", "--prefix", "", "--max-states", value, "tau.0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument --max-states: must be at least 1")
+
+    def test_check_negative_fresh_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--prefix", "nabla a", "--fresh", "-1", "a?(x).0", "[a?(x)]L [x=a] false"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument --fresh: must be at least 0")
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "--fresh", "two", "0", "true"), ("lts", "--max-states", "two", "0")]
+    )
+    def test_count_flag_that_is_not_an_int_is_a_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: argument {argv[1]}: invalid int value: 'two'")
+
     def test_bisim_early_mode(self, capsys):
         code, _, _ = run(
             capsys, "bisim", "--mode", "early", "--prefix", "nabla x",

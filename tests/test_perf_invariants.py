@@ -329,16 +329,18 @@ def _digest(text):
 
 
 # Per ONE_PASS_CASES refutation: digests of the witness repr and of the
-# formula text, and the formula's side, as the engine gave them when explain
-# still scanned every refuted goal's attacks again.
+# formula text, and the formula's side.  The witnesses and sides are as the
+# engine gave them when explain still scanned every refuted goal's attacks
+# again; the texts are as the fold gives them since it keeps each operand of
+# a conjunction or disjunction once.
 ONE_PASS_OUTPUTS = [
-    ("02b8c19b1dc6f401", "96f421b9ed0b0a4d", "left"),
-    ("05c8b75416db5b17", "3eca7b98b09e0958", "left"),
+    ("02b8c19b1dc6f401", "4d5a578252394290", "left"),
+    ("05c8b75416db5b17", "fc49633abc5e1925", "left"),
     ("37e6e288224aa771", "12168ce8122c5d17", "left"),
-    ("db622633b0fdbae4", "9ca7c7abb3560ab9", "left"),
-    ("cfe9d10410bb1772", "92212e0c2ef33cf8", "left"),
+    ("db622633b0fdbae4", "31aef71882776c83", "left"),
+    ("cfe9d10410bb1772", "961a31f317396d8f", "left"),
     ("36a83d2f00389871", "39e9f22672a36038", "left"),
-    ("d00249976cab14a8", "44a9e787804aec5a", "left"),
+    ("d00249976cab14a8", "2fb6413fc43ccf9c", "left"),
     ("f5d71cfb52ed045d", "d4449f877236860a", "left"),
 ]
 
@@ -479,12 +481,6 @@ def test_a_dropped_result_frees_its_game(mode, prefix_text):
             gc.enable()
 
 
-def _tree_nodes(f):
-    """The node count of a formula read as a tree: a shared subformula
-    counts once per occurrence."""
-    return 1 + sum(_tree_nodes(getattr(f, c)) for c in ("left", "right", "body") if hasattr(f, c))
-
-
 @pytest.mark.parametrize(
     "mode, prefix_text, left, right",
     [
@@ -496,22 +492,28 @@ def _tree_nodes(f):
     ],
 )
 def test_formula_check_evaluates_each_memo_key_once(monkeypatch, mode, prefix_text, left, right):
-    """The formula of a parallel refutation shares its subformulas; each
-    side's walk evaluates each modality once per (term, formula object,
-    depth, counter, environment), so the check evaluates fewer modalities
-    than the formula has tree nodes, although it checks both sides."""
+    """A parallel refutation's diamonds meet several moves that lead to the
+    same continuation, so the check asks about one (term, formula object,
+    depth, counter, environment) more than once; each side's walk evaluates
+    each such modality once and answers it from its memo after that."""
     res = _refute(mode, prefix_text, left, right)
-    evaluated = Counter()
-    real = modal_mod._Walk._modal
+    evaluated, asked = Counter(), []
+    real_modal, real_sat = modal_mod._Walk._modal, modal_mod._Walk.sat
 
     def counted(self, p, a, depth, k, env):
         evaluated[(self, p, id(a), depth, k, env)] += 1
-        return real(self, p, a, depth, k, env)
+        return real_modal(self, p, a, depth, k, env)
+
+    def asking(self, p, a, depth, k, env):
+        if isinstance(a, (Dia, Box)) and not isinstance(a.label, Eq):
+            asked.append(a)
+        return real_sat(self, p, a, depth, k, env)
 
     monkeypatch.setattr(modal_mod._Walk, "_modal", counted)
-    f, _side = pb.distinguishing_formula(res)
+    monkeypatch.setattr(modal_mod._Walk, "sat", asking)
+    pb.distinguishing_formula(res)
     assert evaluated and max(evaluated.values()) == 1
-    assert sum(evaluated.values()) < _tree_nodes(f)
+    assert sum(evaluated.values()) < len(asked)
 
 
 # ---------------------------------------------------------- canonical keys
