@@ -53,8 +53,9 @@ goal as asked, and the node and the goal's formula are built from that
 clause, with no goal decided and no clause built again.  Only a goal refuted
 under another goal's memo key has no record; its attacks are scanned once,
 in the decider's order.
-``verify_witness`` replays it structurally, move by move, in a fresh game that
-only enumerates moves and never decides a goal, and replays each node once.
+``verify_witness`` replays it structurally, move by move, in the game that
+decided it, over that game's tabled successors and normal forms; the replay
+only enumerates moves, never decides a goal, and replays each node once.
 The distinguishing formula is folded from the same nodes, one modality per
 node, with no search: a diamond where the left side attacks, a box where the
 right one does.  Different defender replies often fold to equal formulas, and
@@ -654,11 +655,22 @@ def verify_witness(result: BisimResult) -> bool:
     shares one node per goal; the replay is memoised per node object, so a
     node met again at a goal equal to its own is accepted without a second
     replay, and one met at any other goal, a congruent one included, is
-    rejected."""
+    rejected.
+
+    The replay runs in ``result.game``, the game that decided, and reads the
+    successor lists and normal forms that the decider tabled, so replaying
+    the witness the game extracted adds no entry to either table.  It checks the game's logic over
+    ``lts``'s tabled lists, not ``lts`` or ``normal_form`` themselves: a
+    fault in either is shared by the decider and the replay.  The tabled
+    lists are shared and must not be mutated.  What checks ``lts`` is the
+    oracle check in ``tests/test_oracle_evidence.py``, which reads each
+    ground refutation's printed formula back into the independent oracles
+    and evaluates it on both processes there.  The node memo outlives one
+    call: a node is accepted at its own goal or not at all, and nodes are
+    immutable and kept by the memo, so an identity is never reused."""
     if result.bisimilar or result.witness is None:
         raise WitnessMalformed("only refutations carry a witness")
-    game = _Game(result.mode)
-    return game.verify_node(result.root, result.witness)
+    return result.game.verify_node(result.root, result.witness)
 
 
 class _CertificateGame(_Game):

@@ -341,6 +341,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.mode == "open" and args.fresh is not None:
+        raise ValueError("--fresh applies only to ground mode")
     prefix, (p,) = _prep(args, args.process)
     f = M.encode_formula(M.parse_formula(args.formula), prefix)
     t0 = time.perf_counter()

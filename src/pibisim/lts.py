@@ -32,8 +32,9 @@ returned lists are shared and must not be mutated.
 A caller that asks for the same term repeatedly keeps a table of the results
 and reads it through ``tabled_successors``: the bisimulation game keeps one
 for the duration of a game, a satisfaction check one for the duration of the
-check, and the check of a distinguishing formula reads the table of the game
-that built it.
+check, and the check of a distinguishing formula and the replay of a
+refutation witness read the table of the game that decided.  Such a replay
+checks the game over these lists, not the lists themselves.
 """
 
 from __future__ import annotations

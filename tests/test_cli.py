@@ -347,6 +347,15 @@ class TestFlags:
         assert out == ""
         assert err.startswith("error: argument --fresh: must be at least 0")
 
+    def test_check_fresh_in_open_mode_is_a_usage_error(self, capsys):
+        argv = ("check", "--mode", "open", "--prefix", "forall a", "--json", "a?(x).0", "<a?(x)>L true")
+        code, out, err = run(capsys, *argv, "--fresh", "7")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: --fresh applies only to ground mode"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["data"] == {"mode": "open", "budget": None}
+
     @pytest.mark.parametrize(
         "argv", [("check", "--fresh", "two", "0", "true"), ("lts", "--max-states", "two", "0")]
     )

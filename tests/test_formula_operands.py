@@ -4,10 +4,7 @@ once: the fold drops an operand equal to one already in its chain, since
 ``wide`` refutations at seed 1, whose replies fold to equal subformulas, and
 on a seeded sweep of parallel refutations in all three modes."""
 
-import importlib.util
-import pathlib
 import random
-import sys
 
 import pytest
 
@@ -15,8 +12,6 @@ import corpus
 import pibisim as pb
 from agree import enc, make_prefix
 from pibisim.syntax import FALSE, TAU, TRUE, And, Box, Dia, Or
-
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def repeated_operand(f):
@@ -50,15 +45,6 @@ def test_repeated_operand_finds_a_repeat_at_any_nesting():
     assert repeated_operand(And(a, And(b, a))) == a
     assert repeated_operand(Dia(TAU, Or(Or(b, a), b))) == b
     assert repeated_operand(And(Or(a, b), Or(b, a))) is None
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_wide_formulas_repeat_no_operand(workloads):
