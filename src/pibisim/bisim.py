@@ -93,6 +93,7 @@ from .syntax import (
     Process,
     Tau,
     _name_key,
+    _slot_init,
     close_abs,
     contains_bang,
     map_names,
@@ -136,7 +137,7 @@ class Stats:
     branches: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Goal:
     """One game position: the processes, the nabla depth, the next unused
     eigenvariable id, and the distinctions the attacker must respect."""
@@ -149,6 +150,9 @@ class Goal:
 
     def mirrored(self) -> "Goal":
         return Goal(self.depth, self.next_eigen, self.distinct, self.right, self.left)
+
+
+Goal.__init__ = _slot_init(Goal)
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,6 +61,7 @@ from .syntax import (
     Sum,
     TAU,
     TauPref,
+    _slot_init,
     free_names,
     close_abs,
     open_abs,
@@ -77,8 +78,11 @@ class StateBudgetExceeded(Exception):
         super().__init__(f"state budget of {max_states} exceeded")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transition:
+    """One symbolic step: under ``theta`` the process does ``action`` and
+    continues as ``cont``."""
+
     theta: Subst
     action: Action
     cont: Process  # free actions: closed at source depth; bound: one binder deep
@@ -86,6 +90,9 @@ class Transition:
     @property
     def is_bound(self) -> bool:
         return isinstance(self.action, (BoundIn, BoundOut))
+
+
+Transition.__init__ = _slot_init(Transition)
 
 
 def infer_depth(p: Process) -> int:

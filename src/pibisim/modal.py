@@ -413,14 +413,20 @@ class _FormulaParser(_TokenParser):
     reserved = _RESERVED_FORMULA
 
     def top(self, env) -> Formula:
-        parts = [self.conj(env)]
+        first = self.conj(env)
+        if self.toks[self.i] != "v":
+            return first
+        parts = [first]
         while self.toks[self.i] == "v":
             self.i += 1
             parts.append(self.conj(env))
         return right_nest(Or, parts)
 
     def conj(self, env) -> Formula:
-        parts = [self.unary(env)]
+        first = self.unary(env)
+        if self.toks[self.i] != "&":
+            return first
+        parts = [first]
         while self.toks[self.i] == "&":
             self.i += 1
             parts.append(self.unary(env))

@@ -17,6 +17,15 @@ the token strings of the whole text, which one regex ``split`` cuts out.
 A ``Prefix`` builds its name map and counts once, and ``parse_prefix`` is
 memoised by text, so a query's prefix is parsed and mapped once.
 
+Every layer builds nodes in bulk, so building one is kept cheap.  The name,
+process, action, label and formula classes that take fields (and
+``lts.Transition`` and ``bisim.Goal``) are declared ``init=False`` and get
+their ``__init__`` from ``_slot_init``: it writes each slot through its member
+descriptor, where a dataclass-generated one calls ``object.__setattr__`` per
+field, and the classes stay frozen.  A parse builds one ``Free`` per
+identifier, shared by every free occurrence of that name, and a ``+``, ``|``,
+``v`` or ``&`` level with one operand returns it without building a list.
+
 Processes, actions and formulas bind names alike and share one name walk,
 ``map_names``, so ``open_abs``, ``close_abs``, ``free_names``, ``encode``
 and ``unify.Subst`` serve all three.  A reader that only collects names
@@ -27,7 +36,7 @@ itself, with nothing built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import attrgetter, is_
@@ -35,7 +44,7 @@ from operator import attrgetter, is_
 # --------------------------------------------------------------------------- names
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bound:
     """de Bruijn index pointing at an enclosing binder (0 = innermost)."""
 
@@ -45,7 +54,7 @@ class Bound:
         return f"Bound({self.index})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Nabla:
     """Scoped fresh constant; levels start at 1 and grow inward."""
 
@@ -55,7 +64,7 @@ class Nabla:
         return f"Nabla({self.level})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Eigen:
     """Instantiable name variable; may only equal nabla levels <= ceiling."""
 
@@ -66,7 +75,7 @@ class Eigen:
         return f"Eigen({self.id},c{self.ceiling})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Free:
     """Named placeholder produced by the parser; resolved by encode()."""
 
@@ -95,65 +104,81 @@ class Nil:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TauPref(_Term):
+    """``tau.P``."""
+
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Out(_Term):
+    """``x!y.P``: ``obj`` sent on ``ch``."""
+
     ch: Name
     obj: Name
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class In(_Term):
+    """``x?(y).P``: a name received on ``ch``, bound in ``body``."""
+
     ch: Name
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Match(_Term):
+    """``[x=y]P``."""
+
     left: Name
     right: Name
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sum(_Term):
+    """``P + Q``."""
+
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Par(_Term):
+    """``P | Q``."""
+
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Nu(_Term):
+    """``(nu x)P``: a name restricted in ``body``."""
+
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bang(_Term):
+    """``!P``."""
+
     cont: "Process"
 
 
 Process = Nil | TauPref | Out | In | Match | Sum | Par | Nu | Bang
 
 
-def _hash_once(*fields: str):
+def _hash_once(*names: str):
     """A ``__hash__`` that computes ``hash`` of the tuple of the node's
     fields, which is the dataclass-generated hash, once per node and keeps it
     in the node's slot.  Terms share unchanged subterms, so a subterm hashed
     once stays hashed in every term that contains it, and set and dict orders
     are those of the generated hash.  The tuple is built by ``attrgetter``,
     so hashing a deep term takes one Python frame per level."""
-    get = attrgetter(*fields)
-    key = get if len(fields) > 1 else lambda node: (get(node),)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda node: (get(node),)
 
     def __hash__(self):
         h = self._hash
@@ -163,6 +188,27 @@ def _hash_once(*fields: str):
         return h
 
     return __hash__
+
+
+def _slot_init(cls):
+    """An ``__init__`` for the frozen slots dataclass ``cls``, declared with
+    ``init=False``, that takes the parameters a generated one would and
+    writes each slot through its member descriptor: one call per field, where
+    a generated one goes through ``object.__setattr__`` and its attribute
+    lookup.  A field left out of ``__init__`` (the ``_hash`` slot) is reset
+    to its default.  Frozen assignment still raises, since ``__setattr__`` is
+    untouched."""
+    fs = fields(cls)
+    params = ", ".join(["self", *(f.name for f in fs if f.init)])
+    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    env |= {f"_default_{f.name}": f.default for f in fs if not f.init}
+    body = "".join(
+        f"    _set_{f.name}(self, {f.name if f.init else '_default_' + f.name})\n" for f in fs
+    )
+    exec(f"def __init__({params}):\n{body}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 NIL = Nil()
@@ -175,19 +221,25 @@ class Tau:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FreeOut:
+    """The free output action ``x!y``."""
+
     ch: Name
     obj: Name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundOut:
+    """The bound output action ``x!(y)``: a restricted name sent on ``ch``."""
+
     ch: Name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundIn:
+    """The input action ``x?(y)``."""
+
     ch: Name
 
 
@@ -198,29 +250,33 @@ TAU = Tau()
 # ------------------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class And(_Term):
+    """``A & B``."""
+
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Or(_Term):
+    """``A v B``."""
+
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Eq:
     """The match label ``x=y``."""
 
@@ -228,7 +284,7 @@ class Eq:
     right: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LateIn:
     """The input label of ``<x?(y)>L``: the received name is chosen after
     the transition."""
@@ -236,7 +292,7 @@ class LateIn:
     ch: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EarlyIn:
     """The input label of ``<x?(y)>E``: the received name is chosen before
     the transition."""
@@ -248,14 +304,18 @@ Label = Action | Eq | LateIn | EarlyIn
 _BINDING_LABELS = (BoundOut, BoundIn, LateIn, EarlyIn)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Dia(_Term):
+    """``<label>A``."""
+
     label: Label
     body: "Formula"  # one binder deep when the label binds a name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Box(_Term):
+    """``[label]A``."""
+
     label: Label
     body: "Formula"  # one binder deep when the label binds a name
 
@@ -267,6 +327,9 @@ FALSE = FalseF()
 
 for _cls in (TauPref, Out, In, Match, Sum, Par, Nu, Bang, And, Or, Dia, Box):
     _cls.__hash__ = _hash_once(*_cls.__match_args__)
+    _cls.__init__ = _slot_init(_cls)
+for _cls in (Bound, Nabla, Eigen, Free, FreeOut, BoundOut, BoundIn, Eq, LateIn, EarlyIn):
+    _cls.__init__ = _slot_init(_cls)
 
 # ------------------------------------------------------------------- name traversal
 
@@ -659,6 +722,7 @@ class _TokenParser:
         self.toks = parts[1::2]
         self.toks.append("")
         self.i = 0
+        self.frees: dict[str, Free] = {}
 
     def error(self, expected, at: int | None = None, found: str | None = None) -> ParseError:
         """A ParseError at token ``at`` (default: the current one), which is
@@ -684,9 +748,13 @@ class _TokenParser:
         return tok
 
     def resolve(self, ident: str, env: list) -> Name:
+        """A bound name's index, or the parse's one ``Free`` for ``ident``."""
         if ident in env:
             return Bound(env.index(ident))
-        return Free(ident)
+        free = self.frees.get(ident)
+        if free is None:
+            free = self.frees[ident] = Free(ident)
+        return free
 
     def parse(self):
         out = self.top([])
@@ -702,14 +770,20 @@ class _Parser(_TokenParser):
 
     # grammar: proc := sum ; sum := par ("+" par)* ; par := unary ("|" unary)*
     def top(self, env: list) -> Process:
-        parts = [self.par(env)]
+        first = self.par(env)
+        if self.toks[self.i] != "+":
+            return first
+        parts = [first]
         while self.toks[self.i] == "+":
             self.i += 1
             parts.append(self.par(env))
         return right_nest(Sum, parts)
 
     def par(self, env: list) -> Process:
-        parts = [self.unary(env)]
+        first = self.unary(env)
+        if self.toks[self.i] != "|":
+            return first
+        parts = [first]
         while self.toks[self.i] == "|":
             self.i += 1
             parts.append(self.unary(env))

@@ -982,3 +982,23 @@ def test_encode_reads_the_prefix_map_built_once(monkeypatch):
     assert pb.pretty(p, prefix) == "x!y.y.0"
     assert (prefix.nabla_count, prefix.eigen_count) == (1, 1)
     assert pb.successors_free(p, prefix.nabla_count)
+
+
+@pytest.mark.parametrize(
+    "parse, text, count",
+    [(pb.parse_process, "x!x.x?(y).y!x.0", 4), (pb.parse_formula, "<x!x><x?(y)>L<y!x>[x=x]true", 6)],
+    ids=["process", "formula"],
+)
+def test_one_placeholder_per_name_per_parse(parse, text, count):
+    """A parse builds one ``Free`` per identifier and every free occurrence of
+    that name is the same object."""
+    placeholders = []
+
+    def collect(n, _d):
+        if isinstance(n, syntax_mod.Free):
+            placeholders.append(n)
+        return n
+
+    map_names(parse(text), collect)
+    assert len(placeholders) == count
+    assert all(p is placeholders[0] for p in placeholders)

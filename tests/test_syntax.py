@@ -1,23 +1,45 @@
-"""Parser, encoder, alpha-equivalence, free names, pretty-printer."""
+"""Parser, encoder, alpha-equivalence, free names, pretty-printer, and the
+constructors of the term classes."""
 
+import copy
+import pickle
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 import pibisim as pb
+from pibisim.bisim import Goal
+from pibisim.lts import Transition
 from pibisim.syntax import (
+    FALSE,
+    TAU,
+    TRUE,
+    And,
+    Bang,
     Bound,
+    BoundIn,
+    BoundOut,
+    Box,
+    Dia,
+    EarlyIn,
     Eigen,
+    Eq,
+    Free,
+    FreeOut,
     In,
+    LateIn,
     Match,
     Nabla,
     Nil,
     Nu,
+    Or,
     Out,
     Par,
     Sum,
     TauPref,
 )
+from pibisim.unify import EMPTY_DISTINCTION, IDENTITY
 
 NIL = Nil()
 
@@ -455,3 +477,90 @@ class TestSubstCapture:
         theta = singleton(Eigen(1, 2), Nabla(2))
         p = Nu(Match(Eigen(1, 2), Bound(0), NIL))
         assert theta(p) == Nu(Match(Nabla(2), Bound(0), NIL))
+
+
+# Every class whose __init__ writes its slots through their member
+# descriptors (syntax._slot_init), with sample arguments and the repr they give.
+SLOT_INIT_NODES = [
+    (Bound, (0,), "Bound(0)"),
+    (Nabla, (1,), "Nabla(1)"),
+    (Eigen, (2, 1), "Eigen(2,c1)"),
+    (Free, ("x",), "Free('x')"),
+    (TauPref, (NIL,), "TauPref(cont=Nil())"),
+    (Out, (Nabla(1), Eigen(1, 0), NIL), "Out(ch=Nabla(1), obj=Eigen(1,c0), cont=Nil())"),
+    (In, (Nabla(1), TauPref(NIL)), "In(ch=Nabla(1), body=TauPref(cont=Nil()))"),
+    (Match, (Nabla(1), Bound(0), NIL), "Match(left=Nabla(1), right=Bound(0), cont=Nil())"),
+    (Sum, (NIL, TauPref(NIL)), "Sum(left=Nil(), right=TauPref(cont=Nil()))"),
+    (Par, (TauPref(NIL), NIL), "Par(left=TauPref(cont=Nil()), right=Nil())"),
+    (Nu, (NIL,), "Nu(body=Nil())"),
+    (Bang, (NIL,), "Bang(cont=Nil())"),
+    (FreeOut, (Nabla(1), Nabla(2)), "FreeOut(ch=Nabla(1), obj=Nabla(2))"),
+    (BoundOut, (Nabla(1),), "BoundOut(ch=Nabla(1))"),
+    (BoundIn, (Eigen(1, 0),), "BoundIn(ch=Eigen(1,c0))"),
+    (Eq, (Nabla(1), Bound(0)), "Eq(left=Nabla(1), right=Bound(0))"),
+    (LateIn, (Nabla(1),), "LateIn(ch=Nabla(1))"),
+    (EarlyIn, (Nabla(2),), "EarlyIn(ch=Nabla(2))"),
+    (And, (TRUE, FALSE), "And(left=TrueF(), right=FalseF())"),
+    (Or, (FALSE, TRUE), "Or(left=FalseF(), right=TrueF())"),
+    (Dia, (TAU, TRUE), "Dia(label=Tau(), body=TrueF())"),
+    (Box, (LateIn(Nabla(1)), FALSE), "Box(label=LateIn(ch=Nabla(1)), body=FalseF())"),
+    (Transition, (IDENTITY, TAU, NIL), "Transition(theta=Subst(bindings=()), action=Tau(), cont=Nil())"),
+    (
+        Goal,
+        (1, 2, EMPTY_DISTINCTION, NIL, TauPref(NIL)),
+        "Goal(depth=1, next_eigen=2, distinct=Distinction(pairs=frozenset()), "
+        "left=Nil(), right=TauPref(cont=Nil()))",
+    ),
+]
+SLOT_INIT_IDS = [cls.__name__ for cls, _args, _repr in SLOT_INIT_NODES]
+
+
+def _init_names(cls):
+    return [f.name for f in fields(cls) if f.init]
+
+
+@pytest.mark.parametrize("cls, args, shown", SLOT_INIT_NODES, ids=SLOT_INIT_IDS)
+class TestSlotConstructors:
+    def test_each_field_holds_its_own_argument(self, cls, args, shown):
+        assert "__setattr__" not in cls.__init__.__code__.co_names  # the slot writer
+        names = _init_names(cls)
+        marks = [object() for _ in names]
+        by_keyword = dict(zip(reversed(names), reversed(marks)))
+        for node in (cls(*marks), cls(**by_keyword)):
+            for name, mark in zip(names, marks):
+                assert getattr(node, name) is mark
+            if hasattr(cls, "_hash"):
+                assert node._hash is None
+            assert hash(node) == hash(tuple(marks))
+        with pytest.raises(TypeError):
+            cls(*marks, object())
+        with pytest.raises(TypeError):
+            cls(*marks[1:], **{names[0]: marks[0], "extra": None})
+
+    def test_frozen(self, cls, args, shown):
+        node = cls(*args)
+        hash(node)
+        for name in [f.name for f in fields(cls)]:
+            before = getattr(node, name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
+            assert getattr(node, name) is before
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_copies_are_equal_with_equal_hashes(self, cls, args, shown, hashed_first):
+        node = cls(*args)
+        if hashed_first:
+            hash(node)
+        copies = [replace(node), copy.copy(node), pickle.loads(pickle.dumps(node))]
+        for twin in copies:
+            assert type(twin) is cls and twin == node and hash(twin) == hash(node)
+        first = _init_names(cls)[0]
+        mark = object()
+        changed = replace(node, **{first: mark})
+        assert getattr(changed, first) is mark
+        assert all(getattr(changed, n) is getattr(node, n) for n in _init_names(cls)[1:])
+
+    def test_repr(self, cls, args, shown):
+        assert repr(cls(*args)) == shown

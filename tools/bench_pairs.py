@@ -1,19 +1,22 @@
 """Paired before/after runs of the benchmark, written to one history file.
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_n.json
+    python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_n.json [--seed S]
 
 Runs ``bench/run.py --workload W --seed S --seconds T`` unchanged, in a
 checkout of the parent commit and in this one, on every workload and at the
 run length that ``BENCHMARK.json`` declares: ``PAIRS`` pairs of runs on the
-fixed seed ``SEED``, alternating which checkout runs first so that a drift
-in the host's speed falls on both sides alike.  One discarded ``--seconds 0``
+seed given by ``--seed`` (default 1), alternating which checkout runs first
+so that a drift in the host's speed falls on both sides alike.  One discarded ``--seconds 0``
 run in each checkout comes first, so that no measured run is the first one
 after the tree was copied or edited.  Then runs ``--trace 1`` once in each
 checkout for the per-layer counters.  The output file holds,
 per workload and side, every run's end-to-end metrics, their medians and
 quartiles, the pairs the change won per metric, the failed share, and the
-traced figures.  Every end-to-end metric is better when lower.  Runs go one
-at a time; take both sides on the same, otherwise quiet host.
+traced figures.  Every end-to-end metric is better when lower.  Each pair's
+end-to-end metrics are printed to stderr as it completes.  Runs go one at a
+time; take both sides on the same, otherwise quiet host.  A claim made on the
+default seed is checked on a held-out one by a second run with another
+``--seed``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
-SEED = 1
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -61,8 +63,9 @@ def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: 
         for side in order:
             tree = parent if side == "parent" else change
             sides[side].append(run(tree, workload, seed, seconds, 0))
-        p, c = (sides[s][-1]["metrics"]["wall_s"]["value"] for s in ("parent", "change"))
-        print(f"{workload} seed {seed}: wall_s {p:.4f} -> {c:.4f}", file=sys.stderr)
+        p, c = (sides[s][-1]["metrics"] for s in ("parent", "change"))
+        shown = ", ".join(f"{k} {p[k]['value']:.4g} -> {c[k]['value']:.4g}" for k in p)
+        print(f"{workload} seed {seed}: {shown}", file=sys.stderr)
     out = {"seeds": seeds, "seconds": seconds, "parent": summary(sides["parent"]),
            "change": summary(sides["change"])}
     out["change_wins"] = {
@@ -80,9 +83,10 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seed", type=int, default=1, help="workload seed of every run (default 1)")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds, seeds = bench["run_seconds"], [SEED] * PAIRS
+    seconds, seeds = bench["run_seconds"], [args.seed] * PAIRS
     doc = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor()},
