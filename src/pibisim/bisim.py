@@ -42,8 +42,15 @@ without a walk.  The memo also holds each goal as asked, so a goal asked
 again is answered before its sides are normalised or its key is computed.
 
 Each game tables the successors of every (term, depth) it meets, so a term
-reaches ``lts`` once per game however often it attacks or defends; the table
-lives and dies with the game.
+reaches ``lts`` once per game however often it attacks or defends.  It also
+tables the normal form of each continuation opened at each name, so a child
+side that every defender, every name or a later replay meets again is read
+from the table, not opened and normalised again; and it keeps the normal
+form of every subterm it has normalised (``syntax.normal_form``'s memo), so
+a term that shares operands with earlier ones, as a successor ``P' | Q``
+shares ``Q``, only has its new parts normalised.  Both are sound because
+opening and normalising are functions of the term and the name alone.  The
+tables live and die with the game.
 
 On refutation the engine extracts the winning attacker strategy as a witness:
 a DAG with one node object per refuted goal, shared wherever a goal repeats.
@@ -79,7 +86,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import modal as M
-from .lts import Transition, infer_depth, tabled_successors
+from .lts import Transition, tabled_successors
 from .syntax import (
     Action,
     BoundOut,
@@ -96,8 +103,8 @@ from .syntax import (
     _slot_init,
     close_abs,
     contains_bang,
+    free_names,
     map_names,
-    max_eigen_id,
     normal_form,
     open_abs,
     right_nest,
@@ -228,9 +235,10 @@ class _Clause:
     its child goals (``None`` for a move that opens nothing); ``shape`` orders
     the quantifiers over names and ``defenders``; ``label`` is the label of
     the modality a formula of the move folds with.  Child goals are built
-    on demand, one per defender and name, with both sides put in ``normal``
-    form, and so are the conditional answers among the defending side's
-    candidate ``moves``, which only formulas read."""
+    on demand, one per defender and name, each side the normal form of a
+    continuation ``opened`` at the name, and so are the conditional answers
+    among the defending side's candidate ``moves``, which only formulas
+    read."""
 
     side: str
     attack: Transition
@@ -240,7 +248,7 @@ class _Clause:
     shape: str
     label: Label
     moves: list[Transition]
-    normal: Callable[[Process], Process]
+    opened: Callable[[Process, Name | None], Process]
 
     def conditional(self) -> list[tuple[Name, Name]]:
         """The candidate moves that answer the attack only under a unifier
@@ -254,27 +262,39 @@ class _Clause:
 
     def child(self, d: Transition, name: tuple[Name | None, int, int]) -> Goal:
         w, depth, next_eigen = name
-        a, b = self.attack.cont, d.cont
-        if w is not None:
-            a, b = open_abs(a, w), open_abs(b, w)
+        a, b = self.opened(self.attack.cont, w), self.opened(d.cont, w)
         if self.side == "right":
             a, b = b, a
-        return Goal(depth, next_eigen, self.distinct, self.normal(a), self.normal(b))
+        return Goal(depth, next_eigen, self.distinct, a, b)
 
 
-def _normaliser(nf: dict[Process, Process]) -> Callable[[Process], Process]:
-    """Normal forms modulo structural congruence, cached in ``nf``.  A plain
-    function over the cache, not a method of the game, so that a clause the
-    game keeps does not refer back to the game."""
+def _normalisers(
+    nf: dict[Process, Process], parts: dict, opened: dict[tuple[Process, Name], Process]
+) -> tuple[Callable[[Process], Process], Callable[[Process, Name | None], Process]]:
+    """Normal forms modulo structural congruence, cached in ``nf``, with the
+    normal form of every subterm met kept in ``parts``; and the normal form
+    of a continuation opened at a name (unopened when the name is ``None``),
+    cached in ``opened`` by the pair.  Plain functions over the caches, not
+    methods of the game, so that a clause the game keeps does not refer back
+    to the game."""
 
     def normal(p: Process) -> Process:
         hit = nf.get(p)
         if hit is None:
-            hit = normal_form(p)
+            hit = normal_form(p, parts)
             nf[p] = nf[hit] = hit  # a normal form is its own
         return hit
 
-    return normal
+    def opened_normal(cont: Process, w: Name | None) -> Process:
+        if w is None:
+            return normal(cont)
+        key = (cont, w)
+        hit = opened.get(key)
+        if hit is None:
+            hit = opened[key] = normal(open_abs(cont, w))
+        return hit
+
+    return normal, opened_normal
 
 
 class _Game:
@@ -291,9 +311,13 @@ class _Game:
         self.cert: list[Goal] = []
         # (term, depth) -> (free successors, bound successors), for this game only
         self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
-        # term -> its normal form modulo structural congruence, for this game only
+        # term -> its normal form modulo structural congruence, for this game
+        # only; subterm -> its normal form and sort key (syntax.normal_form's
+        # memo); (continuation, name) -> the normal form of the opened term
         self.nf: dict[Process, Process] = {}
-        self._normal_form = _normaliser(self.nf)
+        self.nf_parts: dict = {}
+        self.opened: dict[tuple[Process, Name], Process] = {}
+        self._normal_form, self._opened = _normalisers(self.nf, self.nf_parts, self.opened)
         # refuted goal as asked -> its winning attack's index and clause
         self.won: dict[Goal, tuple[int, _Clause]] = {}
 
@@ -323,7 +347,7 @@ class _Game:
                 shape, label = _EARLY, M.EarlyIn(act.ch)
         defenders = [u for u in ts if u.theta.is_identity() and u.action == act]
         return _Clause(
-            side, t, goal.distinct.apply(t.theta), defenders, names, shape, label, ts, self._normal_form
+            side, t, goal.distinct.apply(t.theta), defenders, names, shape, label, ts, self._opened
         )
 
     def _normalised(self, goal: Goal) -> Goal:
@@ -557,15 +581,17 @@ class BisimResult:
     game: _Game = field(repr=False)
 
 
-def _check_inputs(left: Process, right: Process) -> None:
+def _root_names(left: Process, right: Process, distinct: Distinction) -> tuple[int, int]:
+    """Refuse replication, then read each process's names in one walk: the
+    depth they need (``lts.infer_depth`` of each), and the largest
+    eigenvariable id of the root goal, its distinction's included, so that
+    every eigenvariable lies below the next id the root is given."""
     if contains_bang(left) or contains_bang(right):
         raise ReplicationUnsupported()
-
-
-def _max_eigen(left: Process, right: Process, distinct: Distinction) -> int:
-    """The largest eigenvariable id of a root goal, so that every one of its
-    eigenvariables lies below the next eigenvariable id it is given."""
-    return max(max_eigen_id(n) for n in (left, right, *(m for pair in distinct.pairs for m in pair)))
+    names = free_names(left) | free_names(right)
+    depth = max((n.level if isinstance(n, Nabla) else n.ceiling for n in names), default=0)
+    eigen = max((n.id for n in names.union(*distinct.pairs) if isinstance(n, Eigen)), default=0)
+    return depth, eigen
 
 
 def _run(mode: str, root: Goal, game: _Game) -> BisimResult:
@@ -583,20 +609,17 @@ def open_bisim(
     distinct: Distinction = EMPTY_DISTINCTION,
     max_depth: int | None = None,
 ) -> BisimResult:
-    _check_inputs(left, right)
-    depth = max(prefix.nabla_count, infer_depth(left), infer_depth(right))
-    ne = max(prefix.eigen_count, _max_eigen(left, right, distinct)) + 1
+    depth, eigen = _root_names(left, right, distinct)
+    depth, ne = max(prefix.nabla_count, depth), max(prefix.eigen_count, eigen) + 1
     root = Goal(depth, ne, distinct, left, right)
     return _run("open", root, _Game("open", max_depth))
 
 
 def _ground_bisim(mode: str, left, right, depth, distinct, max_depth) -> BisimResult:
-    _check_inputs(left, right)
-    if _max_eigen(left, right, distinct):
+    inferred, eigen = _root_names(left, right, distinct)
+    if eigen:
         raise ValueError("ground modes require an all-nabla prefix")
-    if depth is None:
-        depth = max(infer_depth(left), infer_depth(right))
-    root = Goal(depth, 1, distinct, left, right)
+    root = Goal(inferred if depth is None else depth, 1, distinct, left, right)
     return _run(mode, root, _Game(mode, max_depth=max_depth))
 
 
@@ -662,8 +685,9 @@ def verify_witness(result: BisimResult) -> bool:
     rejected.
 
     The replay runs in ``result.game``, the game that decided, and reads the
-    successor lists and normal forms that the decider tabled, so replaying
-    the witness the game extracted adds no entry to either table.  It checks the game's logic over
+    successor lists, opened continuations and normal forms that the decider
+    tabled, so replaying the witness the game extracted adds no entry to any
+    of its tables.  It checks the game's logic over
     ``lts``'s tabled lists, not ``lts`` or ``normal_form`` themselves: a
     fault in either is shared by the decider and the replay.  The tabled
     lists are shared and must not be mutated.  What checks ``lts`` is the

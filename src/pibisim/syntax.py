@@ -453,14 +453,20 @@ def alpha_eq(p, q) -> bool:
 _SUM_TAG, _PAR_TAG = 5, 6
 
 
-def normal_form(p: Process) -> Process:
+def normal_form(p: Process, memo: dict | None = None) -> Process:
     """The representative of ``p`` modulo structural congruence: ``|`` and
     ``+`` flattened, ``0`` operands dropped, operands sorted by a fixed total
     order on terms, identical summands collapsed, and ``(nu x)P`` replaced by
     ``P`` when ``x`` does not occur in ``P``.  Operators are rebuilt
     right-nested, as the parser builds them.  Congruent processes are
-    bisimilar in every mode, under every substitution."""
-    return _nf(p)[0]
+    bisimilar in every mode, under every substitution.
+
+    ``memo`` keeps each subterm's normal form and sort key, so a caller that
+    passes the same dict again, as a bisimulation game does for its whole
+    life, normalises a subterm met before with one lookup: a term that shares
+    operands with earlier ones, like ``P' | Q`` after ``P | Q``, only has its
+    new parts normalised.  Without it, the memo lasts one call."""
+    return _nf(p, {} if memo is None else memo)[0]
 
 
 def _name_key(n: Name) -> tuple:
@@ -477,44 +483,56 @@ def _name_key(n: Name) -> tuple:
     raise TypeError(f"not a name: {n!r}")
 
 
-def _nf(p: Process) -> tuple[Process, tuple]:
+def _nf(p: Process, memo: dict) -> tuple[Process, tuple]:
     """The normal form of ``p`` with its sort key: a tuple that starts with a
     tag per constructor, so keys compare element by element without ever
     comparing an int with a string, and equal keys mean equal terms.  A node
     whose children are their own normal forms is its own normal form and is
-    returned itself."""
+    returned itself.  Each term is computed once per ``memo``; a term that is
+    its own normal form is kept there as ``None``, so that an equal term met
+    later is returned itself too."""
+    hit = memo.get(p)
+    if hit is None:
+        n, k = _nf_node(p, memo)
+        memo[p] = (None if n is p else n), k
+        return n, k
+    n, k = hit
+    return (p if n is None else n), k
+
+
+def _nf_node(p: Process, memo: dict) -> tuple[Process, tuple]:
     match p:
         case Nil():
             return NIL, (0,)
         case TauPref(cont):
-            c, k = _nf(cont)
+            c, k = _nf(cont, memo)
             return (p if c is cont else TauPref(c)), (1, k)
         case Out(ch, obj, cont):
-            c, k = _nf(cont)
+            c, k = _nf(cont, memo)
             return (p if c is cont else Out(ch, obj, c)), (2, _name_key(ch), _name_key(obj), k)
         case In(ch, body):
-            b, k = _nf(body)
+            b, k = _nf(body, memo)
             return (p if b is body else In(ch, b)), (3, _name_key(ch), k)
         case Match(left, right, cont):
-            c, k = _nf(cont)
+            c, k = _nf(cont, memo)
             key = (4, _name_key(left), _name_key(right), k)
             return (p if c is cont else Match(left, right, c)), key
         case Sum() | Par():
-            return _nf_operator(p)
+            return _nf_operator(p, memo)
         case Nu(body):
-            b, k = _nf(body)
+            b, k = _nf(body, memo)
             if _uses_binder(b):
                 return (p if b is body else Nu(b)), (7, k)
             # index 0 does not occur in b, so opening it only shifts the
             # deeper dangling indices down by one
-            return _nf(open_abs(b, Bound(0)))
+            return _nf(open_abs(b, Bound(0)), memo)
         case Bang(cont):
-            c, k = _nf(cont)
+            c, k = _nf(cont, memo)
             return (p if c is cont else Bang(c)), (8, k)
     raise TypeError(f"not a process: {p!r}")
 
 
-def _nf_operator(p: Sum | Par) -> tuple[Process, tuple]:
+def _nf_operator(p: Sum | Par, memo: dict) -> tuple[Process, tuple]:
     cls = type(p)
     tag = _SUM_TAG if cls is Sum else _PAR_TAG
     terms: list[Process] = []
@@ -525,7 +543,7 @@ def _nf_operator(p: Sum | Par) -> tuple[Process, tuple]:
             gather(q.left)
             gather(q.right)
             return
-        t, k = _nf(q)
+        t, k = _nf(q, memo)
         if k[0] == tag:  # normalising exposed the same operator: splice it in
             keys.extend(k[1:])
             while type(t) is cls:
@@ -581,10 +599,6 @@ def contains_bang(p: Process) -> bool:
         case Sum(left, right) | Par(left, right):
             return contains_bang(left) or contains_bang(right)
     raise TypeError(f"not a process: {p!r}")
-
-
-def max_eigen_id(term) -> int:
-    return max((n.id for n in free_names(term) if isinstance(n, Eigen)), default=0)
 
 
 # --------------------------------------------------------------------------- errors

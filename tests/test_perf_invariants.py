@@ -1,6 +1,7 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
 successors, the per-game successor table and its use by the formula check
-and the witness replay, one witness node per goal with the formula folded
+and the witness replay, the per-game tables of opened continuations and of
+normalised subterms, one witness node per goal with the formula folded
 from it, witnesses read from the decider's record of each refuted goal,
 repeated goals answered before their memo key, the identity fast paths of
 ``canonical_key``, playing the game up to structural congruence, and cached
@@ -233,14 +234,69 @@ def test_wide_replays_read_the_deciding_games_tables(workloads, lts_requests):
             continue
         refuted += 1
         game = res.game
-        sizes, asked = (len(game.table), len(game.nf)), sum(lts_requests.values())
+        tables = (game.table, game.nf, game.nf_parts, game.opened)
+        sizes, asked = [len(t) for t in tables], sum(lts_requests.values())
         assert pb.verify_witness(res), q.label
-        assert (len(game.table), len(game.nf)) == sizes, q.label
+        assert [len(t) for t in tables] == sizes, q.label
         assert sum(lts_requests.values()) == asked, q.label
         assert pb.verify_witness(res)
         assert not pb.verify_witness(replace(res, witness=_leaf_answered(res.witness))), q.label
         assert pb.verify_witness(res)
     assert refuted == 136
+
+
+def _inout_refutations(workloads):
+    """The ``wide`` refutations of the input-then-output unit at widths 3
+    and 4, in every mode and from both sides."""
+    widths = ("refute/inout/3/", "refute/inout/4/")
+    out = [q for q in workloads.generate("wide", 1) if q.label.startswith(widths)]
+    assert len(out) == 16
+    return out
+
+
+def _with_evidence(q):
+    """Decide ``q``, replay its witness and fold its formula, all in one game."""
+    res = _decide(q)
+    assert not res.bisimilar and pb.verify_witness(res), q.label
+    pb.distinguishing_formula(res)
+    return res
+
+
+def test_each_continuation_is_opened_once_per_name(workloads, monkeypatch):
+    """The game opens a continuation at a name once, however many defenders
+    and names meet it; each later child reads the opened normal form from the
+    game's table."""
+    for q in _inout_refutations(workloads):
+        opened = Counter()
+
+        def counted(body, name, _real=bisim_mod.open_abs):
+            opened[body, name] += 1
+            return _real(body, name)
+
+        monkeypatch.setattr(bisim_mod, "open_abs", counted)
+        res = _with_evidence(q)
+        monkeypatch.undo()
+        assert opened and max(opened.values()) == 1, q.label
+        assert len(res.game.opened) == len(opened), q.label
+
+
+def test_each_subterm_is_normalised_once_per_game(workloads, monkeypatch):
+    """``syntax._nf`` computes a subterm's normal form once per game and
+    answers it from the game's memo after that, also when the subterm is an
+    operand of a later, different term."""
+    computed, memos = Counter(), {}
+    real = syntax_mod._nf
+
+    def counted(p, memo=None):
+        if memo is None or p not in memo:
+            memos[id(memo)] = memo  # kept alive, so no id is reused
+            computed[id(memo), p] += 1
+        return real(p) if memo is None else real(p, memo)
+
+    monkeypatch.setattr(syntax_mod, "_nf", counted)
+    for q in _inout_refutations(workloads):
+        _with_evidence(q)
+    assert computed and max(computed.values()) == 1
 
 
 # Refutations whose distinguishing formula is checked against both sides, by
@@ -564,6 +620,36 @@ def test_formula_check_evaluates_each_memo_key_once(monkeypatch, mode, prefix_te
     assert sum(evaluated.values()) < len(asked)
 
 
+@pytest.mark.parametrize("mode", ["open", "late", "early"])
+def test_each_root_is_read_once_at_entry(monkeypatch, mode):
+    """Before the game starts, each process's names are read in one walk,
+    which gives the root's depth (the largest nabla level or eigenvariable
+    ceiling) and next eigenvariable id (one past the largest id, the
+    distinction's included); replication is refused before an eigenvariable
+    in a ground mode."""
+    prefix = pb.parse_prefix(PREFIX if mode == "open" else "nabla x, nabla y")
+    left, right = ("a!n.0", "b?(u).0") if mode == "open" else ("x!y.0", "y?(u).0")
+    p, q = enc(left, prefix), enc(right, prefix)
+    read = []
+
+    def counted(term, _real=bisim_mod.free_names):
+        read.append(term)
+        return _real(term)
+
+    monkeypatch.setattr(bisim_mod, "free_names", counted)
+    monkeypatch.setattr(bisim_mod, "_run", lambda _mode, root, _game: root)
+    if mode == "open":
+        a, c = (prefix.name_map()[n] for n in "ac")
+        root = pb.open_bisim(p, q, pb.Prefix(()), Distinction.of((a, c)))
+        assert (root.depth, root.next_eigen) == (1, 4)
+    else:
+        root = (pb.late_bisim if mode == "late" else pb.early_bisim)(p, q)
+        assert (root.depth, root.next_eigen) == (2, 1)
+        with pytest.raises(pb.ReplicationUnsupported):
+            pb.late_bisim(enc("!tau.0", prefix), enc("a!a.0", pb.parse_prefix("forall a")))
+    assert read == [p, q]
+
+
 # ---------------------------------------------------------- canonical keys
 
 
@@ -710,7 +796,8 @@ def test_terms_are_bisimilar_to_their_normal_form(monkeypatch):
     prefix = pb.parse_prefix(CONGRUENCE_PREFIX)
     terms = list(congruence_terms(15, 120))
     normal = [normal_form(p) for p in terms]
-    monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
+    # the game passes its subterm memo; the identity ignores it
+    monkeypatch.setattr(bisim_mod, "normal_form", lambda p, _memo: p)
     for p, nf in zip(terms, normal):
         assert pb.open_bisim(p, nf, prefix).bisimilar, pb.pretty(p, prefix)
 
@@ -784,7 +871,7 @@ def test_evidence_is_the_same_without_the_normal_form(monkeypatch):
     has no more nodes than the one played on raw terms."""
     cases = list(_evidence_cases())
     with_nf = [_play(*c) for c in cases]
-    monkeypatch.setattr(bisim_mod, "normal_form", lambda p: p)
+    monkeypatch.setattr(bisim_mod, "normal_form", lambda p, _memo: p)
     without_nf = [_play(*c) for c in cases]
     assert [e for e, _ in without_nf] == [e for e, _ in with_nf]
     assert all(on <= off for (_, on), (_, off) in zip(with_nf, without_nf))

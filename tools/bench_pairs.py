@@ -12,8 +12,14 @@ after the tree was copied or edited.  Then runs ``--trace 1`` once in each
 checkout for the per-layer counters.  The output file holds,
 per workload and side, every run's end-to-end metrics, their medians and
 quartiles, the pairs the change won per metric, the failed share, and the
-traced figures.  Every end-to-end metric is better when lower.  Each pair's
-end-to-end metrics are printed to stderr as it completes.  Runs go one at a
+traced figures, and under ``traced_changed`` each count, chars or ratio
+counter whose parent and change values differ, as ``[parent, change]``:
+every counter that moves needs an explanation.  A traced figure is the mean
+over the run's rounds, and the two runs may take different numbers of
+rounds, so values within a relative 1e-9 of each other count as equal: the
+same ratio in every round can average to two floats one bit apart.  Every end-to-end metric is
+better when lower.  Each pair's end-to-end metrics are printed to stderr as
+it completes, and so are the changed counters.  Runs go one at a
 time; take both sides on the same, otherwise quiet host.  A claim made on the
 default seed is checked on a held-out one by a second run with another
 ``--seed``.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -52,7 +59,8 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: float) -> dict:
+def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: float,
+          counters: list[str]) -> dict:
     sides = {"parent": [], "change": []}
     for tree in (parent, change):
         # discarded: the first run after a tree is copied or edited reads a
@@ -76,6 +84,13 @@ def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: 
     for side, tree in (("parent", parent), ("change", change)):
         traced = run(tree, workload, seeds[0], seconds, 1)["metrics"]
         out["traced"][side] = {k: v["value"] for k, v in traced.items()}
+    p, c = out["traced"]["parent"], out["traced"]["change"]
+    out["traced_changed"] = {
+        k: [p.get(k), c.get(k)]
+        for k in counters
+        if k not in p or k not in c or not math.isclose(p[k], c[k], rel_tol=1e-9)
+    }
+    print(f"{workload} traced counters changed: {out['traced_changed'] or 'none'}", file=sys.stderr)
     return out
 
 
@@ -87,12 +102,15 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, seeds = bench["run_seconds"], [args.seed] * PAIRS
+    counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "chars", "ratio")]
     doc = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor()},
         "command": "bench/run.py --workload W --seed S --seconds T [--trace 1]",
-        "workloads": {w["name"]: pairs(args.parent.resolve(), ROOT, w["name"], seeds, seconds)
-                      for w in bench["workloads"]},
+        "workloads": {
+            w["name"]: pairs(args.parent.resolve(), ROOT, w["name"], seeds, seconds, counters)
+            for w in bench["workloads"]
+        },
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
