@@ -5,7 +5,7 @@ general eigenvariable substitution under which the step exists, and bound
 continuations are one-binder-deep terms.
 
 The paper's clauses for free and bound transitions have the same shape, so
-``_moves`` gives both lists of a term in one pass, one case per constructor.
+``_moves`` gives both lists of a term in one pass, one rule per constructor.
 Prefixes make their one move; a match moves as its continuation under the
 unifier of its names; a sum moves as either summand.  Restriction opens its
 body at a fresh nabla level one above the current depth and re-abstracts it
@@ -21,13 +21,13 @@ a move of one copy of ``q``, or a communication between two copies, beside
 ``_successors``, through a one-entry memo keyed by the term and the depth.
 Every caller asks for the free and then the bound list of the same term
 object (``tabled_successors``, ``lts_graph``, ``has_no_transition``), so the
-pair costs one pass: the 4,544 calls that a ``wide`` benchmark round (seed 1)
-makes to the two take 2,272 passes and 6,632 ``_moves`` calls, where a pass
-per list took 19,686.  The memo compares terms by identity, so it never
-hashes one: keyed by equality, it hashed every one-shot query's term, which
-nothing else does, and made the median ``random-mix`` query 7% slower.
-The entry is replaced whole, so a concurrent caller can only miss.  The
-returned lists are shared and must not be mutated.
+pair costs one pass: the 2,440 calls that a ``wide`` benchmark round (seed 1)
+makes to the two take 1,220 passes, which apply 3,700 rules, one per node
+visited.  The memo compares terms by identity, so it never hashes one: keyed
+by equality, it hashed every one-shot query's term, which nothing else does,
+and made the median ``random-mix`` query 7% slower.  The entry is replaced
+whole, so a concurrent caller can only miss.  The returned lists are shared
+and must not be mutated.
 
 A caller that asks for the same term repeatedly keeps a table of the results
 and reads it through ``tabled_successors``: the bisimulation game keeps one
@@ -61,6 +61,7 @@ from .syntax import (
     Sum,
     TAU,
     TauPref,
+    _Table,
     _slot_init,
     free_names,
     close_abs,
@@ -203,53 +204,68 @@ def _communicate(sides: list[tuple], depth: int) -> list[Transition]:
 def _moves(p: Process, depth: int) -> tuple[list[Transition], list[Transition]]:
     """The free and bound successors of ``p`` at ``depth``, in one pass and
     before deduplication."""
-    match p:
-        case Nil():
-            return [], []
-        case TauPref(cont):
-            return [Transition(IDENTITY, TAU, cont)], []
-        case Out(ch, obj, cont):
-            return [Transition(IDENTITY, FreeOut(ch, obj), cont)], []
-        case In(ch, body):
-            return [], [Transition(IDENTITY, BoundIn(ch), body)]
-        case Match(a, b, cont):
-            rho = unify_names(a, b)
-            if rho is None:
-                return [], []
-            free, bound = _moves(rho(cont), depth)
-            return _compose_all(free, rho), _compose_all(bound, rho)
-        case Sum(left, right):
-            (free_l, bound_l), (free_r, bound_r) = _moves(left, depth), _moves(right, depth)
-            return free_l + free_r, bound_l + bound_r
-        case Par(left, right):
-            moves_l, moves_r = _moves(left, depth), _moves(right, depth)
-            (free_l, bound_l), (free_r, bound_r) = moves_l, moves_r
-            coms = _communicate([(bound_l, right, moves_r, False),
-                                 (bound_r, left, moves_l, True)], depth)
-            return (_beside(free_l, right) + _beside(free_r, left, swapped=True) + coms,
-                    _beside(bound_l, right) + _beside(bound_r, left, swapped=True))
-        case Nu(body):
-            fresh = Nabla(depth + 1)
-            free, bound = _moves(open_abs(body, fresh), depth + 1)
-            nu_free, opened = [], []
-            for t in free:
-                match t.action:
-                    case FreeOut(ch, obj) if obj == fresh and ch != fresh:
-                        # extrusion of the restricted name is a bound output
-                        opened.append(Transition(t.theta, BoundOut(ch), close_abs(t.cont, fresh)))
-                    case action if fresh not in free_names(action):
-                        nu_free.append(Transition(t.theta, action, Nu(close_abs(t.cont, fresh))))
-            nu_bound = [Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh)))
-                        for t in bound
-                        if t.action.ch != fresh]  # the restricted channel cannot be observed
-            return nu_free, nu_bound + opened
-        case Bang(q):
-            # one copy of the body moves, or two copies communicate, beside p
-            free, bound = moves = _moves(q, depth)
-            selfcom = _communicate([(bound, q, moves, True)], depth)
-            return _beside(free, p) + _beside(selfcom, p), _beside(bound, p)
-        case _:
-            raise TypeError(f"not a process: {p!r}")
+    return _RULES[type(p)](p, depth)
+
+
+def _match_rule(p, depth):
+    rho = unify_names(p.left, p.right)
+    if rho is None:
+        return [], []
+    cont = rho(p.cont)
+    free, bound = _RULES[type(cont)](cont, depth)
+    return _compose_all(free, rho), _compose_all(bound, rho)
+
+
+def _sum_rule(p, depth):
+    left, right = p.left, p.right
+    free_l, bound_l = _RULES[type(left)](left, depth)
+    free_r, bound_r = _RULES[type(right)](right, depth)
+    return free_l + free_r, bound_l + bound_r
+
+
+def _par_rule(p, depth):
+    left, right = p.left, p.right
+    moves_l, moves_r = _RULES[type(left)](left, depth), _RULES[type(right)](right, depth)
+    (free_l, bound_l), (free_r, bound_r) = moves_l, moves_r
+    coms = _communicate([(bound_l, right, moves_r, False),
+                         (bound_r, left, moves_l, True)], depth)
+    return (_beside(free_l, right) + _beside(free_r, left, swapped=True) + coms,
+            _beside(bound_l, right) + _beside(bound_r, left, swapped=True))
+
+
+def _nu_rule(p, depth):
+    fresh = Nabla(depth + 1)
+    body = open_abs(p.body, fresh)
+    free, bound = _RULES[type(body)](body, depth + 1)
+    nu_free, opened = [], []
+    for t in free:
+        action = t.action
+        if type(action) is FreeOut and action.obj == fresh and action.ch != fresh:
+            # extrusion of the restricted name is a bound output
+            opened.append(Transition(t.theta, BoundOut(action.ch), close_abs(t.cont, fresh)))
+        elif fresh not in free_names(action):
+            nu_free.append(Transition(t.theta, action, Nu(close_abs(t.cont, fresh))))
+    nu_bound = [Transition(t.theta, t.action, Nu(close_abs(t.cont, fresh)))
+                for t in bound
+                if t.action.ch != fresh]  # the restricted channel cannot be observed
+    return nu_free, nu_bound + opened
+
+
+def _bang_rule(p, depth):
+    # one copy of the body moves, or two copies communicate, beside p
+    q = p.cont
+    free, bound = moves = _RULES[type(q)](q, depth)
+    selfcom = _communicate([(bound, q, moves, True)], depth)
+    return _beside(free, p) + _beside(selfcom, p), _beside(bound, p)
+
+
+_RULES = _Table("a process", {
+    Nil: lambda p, depth: ([], []),
+    TauPref: lambda p, depth: ([Transition(IDENTITY, TAU, p.cont)], []),
+    Out: lambda p, depth: ([Transition(IDENTITY, FreeOut(p.ch, p.obj), p.cont)], []),
+    In: lambda p, depth: ([], [Transition(IDENTITY, BoundIn(p.ch), p.body)]),
+    Match: _match_rule, Sum: _sum_rule, Par: _par_rule, Nu: _nu_rule, Bang: _bang_rule,
+})
 
 
 def has_no_transition(p: Process, depth: int | None = None) -> bool:

@@ -25,6 +25,11 @@ descriptor, where a dataclass-generated one calls ``object.__setattr__`` per
 field, and the classes stay frozen.  A parse builds one ``Free`` per
 identifier, shared by every free occurrence of that name, and a ``+``, ``|``,
 ``v`` or ``&`` level with one operand returns it without building a list.
+Each term walker (``map_names``, ``_nf``, ``_name_key``, ``contains_bang``,
+``lts._moves``) keeps one ``_Table`` from a node's exact type to a function
+per constructor, and dispatches a node's children through that table, not
+through its entry function, so a walk takes no more frames per level than a
+direct recursion.
 
 Processes, actions and formulas bind names alike and share one name walk,
 ``map_names``, so ``open_abs``, ``close_abs``, ``free_names``, ``encode``
@@ -334,6 +339,25 @@ for _cls in (Bound, Nabla, Eigen, Free, FreeOut, BoundOut, BoundIn, Eq, LateIn, 
 # ------------------------------------------------------------------- name traversal
 
 
+class _Table(dict):
+    """A term walker's table, from each class of the walker's sort to the
+    function that walks its nodes.  A class that is no key reads as a
+    function that raises the walker's ``TypeError``, so a foreign object is
+    reported alike at the root and below it."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str, cases: dict):
+        super().__init__(cases)
+        self.what = what
+
+    def __missing__(self, _cls):
+        return self._foreign
+
+    def _foreign(self, node, *_):
+        raise TypeError(f"not {self.what}: {node!r}")
+
+
 def map_names(term, f, depth: int = 0):
     """Rebuild ``term`` (Process, Action or Formula) applying ``f(name, depth)``
     to every name occurrence, where ``depth`` counts binders crossed.  A node
@@ -341,58 +365,81 @@ def map_names(term, f, depth: int = 0):
     an unchanged subterm keeps its identity, its cached hash and its sharing.
     Names are visited left to right, each node's own names before its
     children's, which is the order first-occurrence numberings read."""
-    match term:
-        case Nil():
-            return term
-        case TauPref(cont):
-            c = map_names(cont, f, depth)
-            return term if c is cont else TauPref(c)
-        case Out(ch, obj, cont):
-            a, b, c = f(ch, depth), f(obj, depth), map_names(cont, f, depth)
-            return term if a is ch and b is obj and c is cont else Out(a, b, c)
-        case In(ch, body):
-            a, b = f(ch, depth), map_names(body, f, depth + 1)
-            return term if a is ch and b is body else In(a, b)
-        case Match(left, right, cont):
-            a, b, c = f(left, depth), f(right, depth), map_names(cont, f, depth)
-            return term if a is left and b is right and c is cont else Match(a, b, c)
-        case Sum(left, right):
-            a, b = map_names(left, f, depth), map_names(right, f, depth)
-            return term if a is left and b is right else Sum(a, b)
-        case Par(left, right):
-            a, b = map_names(left, f, depth), map_names(right, f, depth)
-            return term if a is left and b is right else Par(a, b)
-        case Nu(body):
-            b = map_names(body, f, depth + 1)
-            return term if b is body else Nu(b)
-        case Bang(cont):
-            c = map_names(cont, f, depth)
-            return term if c is cont else Bang(c)
-        case Dia(label, body) | Box(label, body):
-            a = _map_label(label, f, depth)
-            b = map_names(body, f, depth + isinstance(label, _BINDING_LABELS))
-            return term if a is label and b is body else type(term)(a, b)
-        case And(left, right) | Or(left, right):
-            a, b = map_names(left, f, depth), map_names(right, f, depth)
-            return term if a is left and b is right else type(term)(a, b)
-        case TrueF() | FalseF():
-            return term
-        case _:
-            return _map_label(term, f, depth)
+    return _MAP[type(term)](term, f, depth)
 
 
-def _map_label(label, f, depth: int):
-    """``map_names`` on an action or another modality label."""
-    match label:
-        case Tau():
-            return label
-        case FreeOut(x, y) | Eq(x, y):
-            a, b = f(x, depth), f(y, depth)
-            return label if a is x and b is y else type(label)(a, b)
-        case BoundOut(ch) | BoundIn(ch) | LateIn(ch) | EarlyIn(ch):
-            a = f(ch, depth)
-            return label if a is ch else type(label)(a)
-    raise TypeError(f"not a process, action or formula: {label!r}")
+def _leaf(term, _f, _depth):
+    return term
+
+
+def _map_unary(term, f, depth):
+    cont = term.cont
+    c = _MAP[type(cont)](cont, f, depth)
+    return term if c is cont else type(term)(c)
+
+
+def _map_out(term, f, depth):
+    ch, obj, cont = term.ch, term.obj, term.cont
+    a, b, c = f(ch, depth), f(obj, depth), _MAP[type(cont)](cont, f, depth)
+    return term if a is ch and b is obj and c is cont else Out(a, b, c)
+
+
+def _map_in(term, f, depth):
+    ch, body = term.ch, term.body
+    a, b = f(ch, depth), _MAP[type(body)](body, f, depth + 1)
+    return term if a is ch and b is body else In(a, b)
+
+
+def _map_match(term, f, depth):
+    left, right, cont = term.left, term.right, term.cont
+    a, b, c = f(left, depth), f(right, depth), _MAP[type(cont)](cont, f, depth)
+    return term if a is left and b is right and c is cont else Match(a, b, c)
+
+
+def _map_pair(term, f, depth):
+    left, right = term.left, term.right
+    a, b = _MAP[type(left)](left, f, depth), _MAP[type(right)](right, f, depth)
+    return term if a is left and b is right else type(term)(a, b)
+
+
+def _map_nu(term, f, depth):
+    body = term.body
+    b = _MAP[type(body)](body, f, depth + 1)
+    return term if b is body else Nu(b)
+
+
+def _map_modality(term, f, depth):
+    label, body = term.label, term.body
+    a = _MAP[type(label)](label, f, depth)
+    b = _MAP[type(body)](body, f, depth + (type(label) in _BINDING_LABELS))
+    return term if a is label and b is body else type(term)(a, b)
+
+
+def _map_free_out(label, f, depth):
+    x, y = label.ch, label.obj
+    a, b = f(x, depth), f(y, depth)
+    return label if a is x and b is y else FreeOut(a, b)
+
+
+def _map_eq(label, f, depth):
+    x, y = label.left, label.right
+    a, b = f(x, depth), f(y, depth)
+    return label if a is x and b is y else Eq(a, b)
+
+
+def _map_channel(label, f, depth):
+    a = f(label.ch, depth)
+    return label if a is label.ch else type(label)(a)
+
+
+_MAP = _Table("a process, action or formula", {
+    Nil: _leaf, TauPref: _map_unary, Out: _map_out, In: _map_in, Match: _map_match,
+    Sum: _map_pair, Par: _map_pair, Nu: _map_nu, Bang: _map_unary,
+    Tau: _leaf, FreeOut: _map_free_out, BoundOut: _map_channel, BoundIn: _map_channel,
+    Eq: _map_eq, LateIn: _map_channel, EarlyIn: _map_channel,
+    TrueF: _leaf, FalseF: _leaf, And: _map_pair, Or: _map_pair,
+    Dia: _map_modality, Box: _map_modality,
+})
 
 
 def open_abs(body, name: Name):
@@ -400,13 +447,9 @@ def open_abs(body, name: Name):
     and deeper dangling indices shift down by one."""
 
     def f(n, d):
-        match n:
-            case Bound(i) if i == d:
-                return name
-            case Bound(i) if i > d:
-                return Bound(i - 1)
-            case _:
-                return n
+        if type(n) is Bound and n.index >= d:
+            return name if n.index == d else Bound(n.index - 1)
+        return n
 
     return map_names(body, f)
 
@@ -416,13 +459,9 @@ def close_abs(term, name: Name):
     innermost dangling index and existing dangling indices shift up by one."""
 
     def f(n, d):
-        match n:
-            case Bound(i) if i >= d:
-                return Bound(i + 1)
-            case _ if n == name:
-                return Bound(d)
-            case _:
-                return n
+        if type(n) is Bound and n.index >= d:
+            return Bound(n.index + 1)
+        return Bound(d) if n == name else n
 
     return map_names(term, f)
 
@@ -432,7 +471,7 @@ def free_names(term) -> frozenset:
     acc: set = set()
 
     def f(n, _d):
-        if isinstance(n, (Nabla, Eigen)):
+        if type(n) is Nabla or type(n) is Eigen:
             acc.add(n)
         return n
 
@@ -471,16 +510,15 @@ def normal_form(p: Process, memo: dict | None = None) -> Process:
 
 def _name_key(n: Name) -> tuple:
     """The order on names that normal forms, distinctions and memo keys use."""
-    match n:
-        case Bound(i):
-            return (0, i)
-        case Nabla(level):
-            return (1, level)
-        case Eigen(i, ceiling):
-            return (2, i, ceiling)
-        case Free(ident):
-            return (3, ident)
-    raise TypeError(f"not a name: {n!r}")
+    return _NAME_KEY[type(n)](n)
+
+
+_NAME_KEY = _Table("a name", {
+    Bound: lambda n: (0, n.index),
+    Nabla: lambda n: (1, n.level),
+    Eigen: lambda n: (2, n.id, n.ceiling),
+    Free: lambda n: (3, n.ident),
+})
 
 
 def _nf(p: Process, memo: dict) -> tuple[Process, tuple]:
@@ -493,43 +531,47 @@ def _nf(p: Process, memo: dict) -> tuple[Process, tuple]:
     later is returned itself too."""
     hit = memo.get(p)
     if hit is None:
-        n, k = _nf_node(p, memo)
+        n, k = _NF[type(p)](p, memo)
         memo[p] = (None if n is p else n), k
         return n, k
     n, k = hit
     return (p if n is None else n), k
 
 
-def _nf_node(p: Process, memo: dict) -> tuple[Process, tuple]:
-    match p:
-        case Nil():
-            return NIL, (0,)
-        case TauPref(cont):
-            c, k = _nf(cont, memo)
-            return (p if c is cont else TauPref(c)), (1, k)
-        case Out(ch, obj, cont):
-            c, k = _nf(cont, memo)
-            return (p if c is cont else Out(ch, obj, c)), (2, _name_key(ch), _name_key(obj), k)
-        case In(ch, body):
-            b, k = _nf(body, memo)
-            return (p if b is body else In(ch, b)), (3, _name_key(ch), k)
-        case Match(left, right, cont):
-            c, k = _nf(cont, memo)
-            key = (4, _name_key(left), _name_key(right), k)
-            return (p if c is cont else Match(left, right, c)), key
-        case Sum() | Par():
-            return _nf_operator(p, memo)
-        case Nu(body):
-            b, k = _nf(body, memo)
-            if _uses_binder(b):
-                return (p if b is body else Nu(b)), (7, k)
-            # index 0 does not occur in b, so opening it only shifts the
-            # deeper dangling indices down by one
-            return _nf(open_abs(b, Bound(0)), memo)
-        case Bang(cont):
-            c, k = _nf(cont, memo)
-            return (p if c is cont else Bang(c)), (8, k)
-    raise TypeError(f"not a process: {p!r}")
+def _nf_unary(p, memo):
+    cont = p.cont
+    c, k = _nf(cont, memo)
+    return (p if c is cont else type(p)(c)), (1 if type(p) is TauPref else 8, k)
+
+
+def _nf_out(p, memo):
+    ch, obj, cont = p.ch, p.obj, p.cont
+    c, k = _nf(cont, memo)
+    key = (2, _NAME_KEY[type(ch)](ch), _NAME_KEY[type(obj)](obj), k)
+    return (p if c is cont else Out(ch, obj, c)), key
+
+
+def _nf_in(p, memo):
+    ch, body = p.ch, p.body
+    b, k = _nf(body, memo)
+    return (p if b is body else In(ch, b)), (3, _NAME_KEY[type(ch)](ch), k)
+
+
+def _nf_match(p, memo):
+    left, right, cont = p.left, p.right, p.cont
+    c, k = _nf(cont, memo)
+    key = (4, _NAME_KEY[type(left)](left), _NAME_KEY[type(right)](right), k)
+    return (p if c is cont else Match(left, right, c)), key
+
+
+def _nf_nu(p, memo):
+    body = p.body
+    b, k = _nf(body, memo)
+    if _uses_binder(b):
+        return (p if b is body else Nu(b)), (7, k)
+    # index 0 does not occur in b, so opening it only shifts the deeper
+    # dangling indices down by one
+    return _nf(open_abs(b, Bound(0)), memo)
 
 
 def _nf_operator(p: Sum | Par, memo: dict) -> tuple[Process, tuple]:
@@ -586,19 +628,24 @@ def right_nest(cls, parts: list, empty=None):
     return out
 
 
+_NF = _Table("a process", {
+    Nil: lambda p, memo: (NIL, (0,)), TauPref: _nf_unary, Out: _nf_out, In: _nf_in, Match: _nf_match,
+    Sum: _nf_operator, Par: _nf_operator, Nu: _nf_nu, Bang: _nf_unary,
+})
+
+
 def contains_bang(p: Process) -> bool:
-    match p:
-        case Bang(_):
-            return True
-        case Nil():
-            return False
-        case TauPref(cont) | Out(_, _, cont) | Match(_, _, cont):
-            return contains_bang(cont)
-        case In(_, body) | Nu(body):
-            return contains_bang(body)
-        case Sum(left, right) | Par(left, right):
-            return contains_bang(left) or contains_bang(right)
-    raise TypeError(f"not a process: {p!r}")
+    return _HAS_BANG[type(p)](p)
+
+
+_HAS_BANG = _Table("a process", {
+    Nil: lambda p: False,
+    Bang: lambda p: True,
+    **dict.fromkeys((TauPref, Out, Match), lambda p: _HAS_BANG[type(p.cont)](p.cont)),
+    **dict.fromkeys((In, Nu), lambda p: _HAS_BANG[type(p.body)](p.body)),
+    **dict.fromkeys(
+        (Sum, Par), lambda p: _HAS_BANG[type(p.left)](p.left) or _HAS_BANG[type(p.right)](p.right)),
+})
 
 
 # --------------------------------------------------------------------------- errors
@@ -950,7 +997,7 @@ def encode(p, prefix: Prefix):
     mapping = prefix._name_map
 
     def f(n, _d):
-        if isinstance(n, Free):
+        if type(n) is Free:
             if n.ident not in mapping:
                 raise UnboundName(n.ident)
             return mapping[n.ident]
@@ -1068,7 +1115,7 @@ def _uses_binder(body: Process) -> bool:
 
     def f(n, d):
         nonlocal used
-        if isinstance(n, Bound) and n.index == d:
+        if type(n) is Bound and n.index == d:
             used = True
         return n
 

@@ -98,25 +98,21 @@ def compose(outer: Subst, inner: Subst) -> Subst:
 
 def unify_names(a: Name, b: Name) -> Subst | None:
     """Most general level-sound unifier of two names, or None on failure."""
-    if isinstance(a, (Bound, Free)) or isinstance(b, (Bound, Free)):
+    ta, tb = type(a), type(b)
+    if ta is Bound or ta is Free or tb is Bound or tb is Free:
         raise InternalError(f"unification reached a non-global name: {a!r} ~ {b!r}")
     if a == b:
         return IDENTITY
-    match (a, b):
-        case (Nabla(_), Nabla(_)):
-            return None  # distinct scoped constants are never equal
-        case (Eigen(_, ceiling), Nabla(level)):
-            return singleton(a, b) if level <= ceiling else None
-        case (Nabla(level), Eigen(_, ceiling)):
-            return singleton(b, a) if level <= ceiling else None
-        case (Eigen(i1, c1), Eigen(i2, c2)):
-            # Bind the larger ceiling to the smaller; on ties bind the
-            # variable with the smaller id to the one with the larger id.
-            if c1 > c2:
-                return singleton(a, b)
-            if c2 > c1:
-                return singleton(b, a)
-            return singleton(a, b) if i2 > i1 else singleton(b, a)
+    if ta is Nabla and tb is Nabla:
+        return None  # distinct scoped constants are never equal
+    if ta is Eigen and tb is Nabla:
+        return singleton(a, b) if b.level <= a.ceiling else None
+    if ta is Nabla and tb is Eigen:
+        return singleton(b, a) if a.level <= b.ceiling else None
+    if ta is Eigen and tb is Eigen:
+        # Bind the larger ceiling to the smaller; on ties bind the variable
+        # with the smaller id to the one with the larger id.
+        return singleton(a, b) if (a.ceiling, b.id) > (b.ceiling, a.id) else singleton(b, a)
     raise InternalError(f"unexpected names {a!r} ~ {b!r}")
 
 

@@ -6,20 +6,27 @@ Runs ``bench/run.py --workload W --seed S --seconds T`` unchanged, in a
 checkout of the parent commit and in this one, on every workload and at the
 run length that ``BENCHMARK.json`` declares: ``PAIRS`` pairs of runs on the
 seed given by ``--seed`` (default 1), alternating which checkout runs first
-so that a drift in the host's speed falls on both sides alike.  One discarded ``--seconds 0``
-run in each checkout comes first, so that no measured run is the first one
-after the tree was copied or edited.  Then runs ``--trace 1`` once in each
-checkout for the per-layer counters.  The output file holds,
-per workload and side, every run's end-to-end metrics, their medians and
-quartiles, the pairs the change won per metric, the failed share, and the
-traced figures, and under ``traced_changed`` each count, chars or ratio
-counter whose parent and change values differ, as ``[parent, change]``:
-every counter that moves needs an explanation.  A traced figure is the mean
-over the run's rounds, and the two runs may take different numbers of
-rounds, so values within a relative 1e-9 of each other count as equal: the
-same ratio in every round can average to two floats one bit apart.  Every end-to-end metric is
-better when lower.  Each pair's end-to-end metrics are printed to stderr as
-it completes, and so are the changed counters.  Runs go one at a
+so that a drift in the host's speed falls on both sides alike.  First
+``compileall`` writes fresh bytecode for ``src``, ``tests`` and ``bench`` in
+both checkouts (with ``PYTHONDONTWRITEBYTECODE`` unset for that one
+command), so that neither side reads a stale cache: a copied tree whose
+``tests/__pycache__`` was stale read a higher ``peak_rss_mb`` than the same
+``src/`` with fresh caches.  Then one discarded ``--seconds 0`` run in each
+checkout, so that no measured run is the first one after the tree was copied
+or edited.  Then ``TRACED_PAIRS`` alternating pairs of ``--trace 1`` runs
+for the per-layer figures; each side's traced figure is the median of its
+runs, so a per-layer time is compared over paired runs, not over two runs
+taken one after the other.  The output file holds, per workload and side,
+every run's end-to-end metrics, their medians and quartiles, the pairs the
+change won per metric, the failed share, every traced run and the traced
+medians, and under ``traced_changed`` each count, chars or ratio counter
+whose parent and change medians differ, as ``[parent, change]``: every
+counter that moves needs an explanation.  A traced figure is the mean over
+the run's rounds, and two runs may take different numbers of rounds, so
+values within a relative 1e-9 of each other count as equal: the same ratio
+in every round can average to two floats one bit apart.  Every end-to-end
+metric is better when lower.  Each pair's end-to-end metrics are printed to
+stderr as it completes, and so are the changed counters.  Runs go one at a
 time; take both sides on the same, otherwise quiet host.  A claim made on the
 default seed is checked on a held-out one by a second run with another
 ``--seed``.
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import statistics
 import subprocess
@@ -38,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+TRACED_PAIRS = 2
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -46,6 +55,26 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compile_tree(tree: Path) -> None:
+    """Fresh bytecode caches for everything a run in ``tree`` imports."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "tests", "bench"],
+                   cwd=tree, env=env, check=True, capture_output=True)
+
+
+def alternating(parent: Path, change: Path, count: int, one, report=None) -> dict:
+    """``count`` pairs of ``one(tree, i)``, the side that runs first
+    alternating from pair to pair, as ``{"parent": [...], "change": [...]}``;
+    ``report(i, parent_result, change_result)`` follows each pair."""
+    sides = {"parent": [], "change": []}
+    for i in range(count):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            sides[side].append(one(parent if side == "parent" else change, i))
+        if report is not None:
+            report(i, sides["parent"][-1], sides["change"][-1])
+    return sides
 
 
 def summary(runs: list[dict]) -> dict:
@@ -61,29 +90,30 @@ def summary(runs: list[dict]) -> dict:
 
 def pairs(parent: Path, change: Path, workload: str, seeds: list[int], seconds: float,
           counters: list[str]) -> dict:
-    sides = {"parent": [], "change": []}
     for tree in (parent, change):
+        compile_tree(tree)
         # discarded: the first run after a tree is copied or edited reads a
         # higher peak_rss_mb than the same code does afterwards
         run(tree, workload, seeds[0], 0, 0)
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            tree = parent if side == "parent" else change
-            sides[side].append(run(tree, workload, seed, seconds, 0))
-        p, c = (sides[s][-1]["metrics"] for s in ("parent", "change"))
-        shown = ", ".join(f"{k} {p[k]['value']:.4g} -> {c[k]['value']:.4g}" for k in p)
-        print(f"{workload} seed {seed}: {shown}", file=sys.stderr)
+
+    def shown(i: int, p: dict, c: dict) -> None:
+        p, c = p["metrics"], c["metrics"]
+        line = ", ".join(f"{k} {p[k]['value']:.4g} -> {c[k]['value']:.4g}" for k in p)
+        print(f"{workload} seed {seeds[i]}: {line}", file=sys.stderr)
+
+    sides = alternating(parent, change, len(seeds),
+                        lambda tree, i: run(tree, workload, seeds[i], seconds, 0), shown)
     out = {"seeds": seeds, "seconds": seconds, "parent": summary(sides["parent"]),
            "change": summary(sides["change"])}
     out["change_wins"] = {
         name: sum(c < p for p, c in zip(out["parent"]["runs"][name], out["change"]["runs"][name]))
         for name in out["parent"]["runs"]
     }
-    out["traced"] = {}
-    for side, tree in (("parent", parent), ("change", change)):
-        traced = run(tree, workload, seeds[0], seconds, 1)["metrics"]
-        out["traced"][side] = {k: v["value"] for k, v in traced.items()}
+    traced = alternating(parent, change, TRACED_PAIRS, lambda tree, _i: {
+        k: v["value"] for k, v in run(tree, workload, seeds[0], seconds, 1)["metrics"].items()})
+    out["traced_runs"] = traced
+    out["traced"] = {side: {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+                     for side, runs in traced.items()}
     p, c = out["traced"]["parent"], out["traced"]["change"]
     out["traced_changed"] = {
         k: [p.get(k), c.get(k)]
