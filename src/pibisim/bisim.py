@@ -83,7 +83,6 @@ is checked once per term.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import modal as M
 from .lts import Transition, tabled_successors
@@ -99,8 +98,9 @@ from .syntax import (
     Prefix,
     Process,
     Tau,
+    _Field,
     _name_key,
-    _slot_init,
+    _record,
     close_abs,
     contains_bang,
     free_names,
@@ -138,13 +138,13 @@ class DepthBudgetExceeded(Exception):
         super().__init__(f"game exceeded the requested depth budget {max_depth}")
 
 
-@dataclass
+@_record(frozen=False)
 class Stats:
     goals: int = 0
     branches: int = 0
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Goal:
     """One game position: the processes, the nabla depth, the next unused
     eigenvariable id, and the distinctions the attacker must respect."""
@@ -159,17 +159,14 @@ class Goal:
         return Goal(self.depth, self.next_eigen, self.distinct, self.right, self.left)
 
 
-Goal.__init__ = _slot_init(Goal)
-
-
-@dataclass(frozen=True, slots=True)
+@_record
 class Reply:
     defender_index: int
     instantiation: Name | None  # per-defender received name (late ground input)
     child: "FailNode"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FailNode:
     """A winning attacker move: every defender reply leads to a refuted goal."""
 
@@ -228,7 +225,7 @@ _LATE = "late"  # exists an answer, for all names
 _EARLY = "early"  # for all names, exists an answer
 
 
-@dataclass(slots=True)
+@_record(frozen=False)
 class _Clause:
     """One attack's proof-search clause.  ``names`` are the names the
     continuations open at, each with the depth and next eigenvariable id of
@@ -568,7 +565,7 @@ def _guard(theta: Subst, f: M.Formula) -> M.Formula:
 # ------------------------------------------------------------------ entry points
 
 
-@dataclass
+@_record(frozen=False)
 class BisimResult:
     bisimilar: bool
     mode: str
@@ -578,7 +575,7 @@ class BisimResult:
     certificate: tuple[Goal, ...] | None
     witness: FailNode | None
     stats: Stats
-    game: _Game = field(repr=False)
+    game: _Game = _Field(repr=False)
 
 
 def _root_names(left: Process, right: Process, distinct: Distinction) -> tuple[int, int]:

@@ -40,7 +40,6 @@ checks the game over these lists, not the lists themselves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .syntax import (
     Action,
@@ -62,7 +61,7 @@ from .syntax import (
     TAU,
     TauPref,
     _Table,
-    _slot_init,
+    _record,
     free_names,
     close_abs,
     open_abs,
@@ -79,7 +78,7 @@ class StateBudgetExceeded(Exception):
         super().__init__(f"state budget of {max_states} exceeded")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Transition:
     """One symbolic step: under ``theta`` the process does ``action`` and
     continues as ``cont``."""
@@ -91,9 +90,6 @@ class Transition:
     @property
     def is_bound(self) -> bool:
         return isinstance(self.action, (BoundIn, BoundOut))
-
-
-Transition.__init__ = _slot_init(Transition)
 
 
 def infer_depth(p: Process) -> int:
@@ -275,7 +271,7 @@ def has_no_transition(p: Process, depth: int | None = None) -> bool:
 # ----------------------------------------------------------------------- LTS graphs
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Edge:
     src: int
     dst: int
@@ -284,7 +280,7 @@ class Edge:
     instance: object  # Name instantiating a bound action's binder, or None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Graph:
     states: tuple[Process, ...]
     edges: tuple[Edge, ...]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .syntax import (
     Action,
@@ -73,6 +72,7 @@ from .syntax import (
     _Namer,
     _TokenParser,
     _label_text,
+    _record,
 )
 from .lts import Transition, tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
@@ -210,7 +210,7 @@ def _in_candidates(depth: int, budget: int) -> list[tuple[Name, int, int]]:
     return cands
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class _Mode:
     """What a checking mode changes in the walk.  ``meet`` is how a box
     meets a transition, as the pair (rho, sigma) of the unifier for the

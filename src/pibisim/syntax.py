@@ -17,14 +17,16 @@ the token strings of the whole text, which one regex ``split`` cuts out.
 A ``Prefix`` builds its name map and counts once, and ``parse_prefix`` is
 memoised by text, so a query's prefix is parsed and mapped once.
 
-Every layer builds nodes in bulk, so building one is kept cheap.  The name,
-process, action, label and formula classes that take fields (and
-``lts.Transition`` and ``bisim.Goal``) are declared ``init=False`` and get
-their ``__init__`` from ``_slot_init``: it writes each slot through its member
-descriptor, where a dataclass-generated one calls ``object.__setattr__`` per
-field, and the classes stay frozen.  A parse builds one ``Free`` per
-identifier, shared by every free occurrence of that name, and a ``+``, ``|``,
-``v`` or ``&`` level with one operand returns it without building a list.
+Every layer builds nodes in bulk, so building one is kept cheap.  Every
+record class of the package (the name, process, action, label and formula
+classes here, and those of ``unify``, ``lts``, ``modal`` and ``bisim``) is
+built once, by ``_record``, as a slotted class whose ``__init__`` writes each
+slot through its member descriptor, where a dataclass-generated one calls
+``object.__setattr__`` per field.  ``import pibisim`` imports no
+``dataclasses``; ``dataclasses.fields`` and ``replace`` still read records.
+A parse builds one ``Free`` per identifier, shared by every free occurrence
+of that name, and a ``+``, ``|``, ``v`` or ``&`` level with one operand
+returns it without building a list.
 Each term walker (``map_names``, ``_nf``, ``_name_key``, ``contains_bang``,
 ``lts._moves``) keeps one ``_Table`` from a node's exact type to a function
 per constructor, and dispatches a node's children through that table, not
@@ -41,15 +43,146 @@ itself, with nothing built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate, islice
-from operator import attrgetter, is_
+from operator import is_
+
+# ------------------------------------------------------------------------- records
+
+_MISSING = object()
+
+
+class _Field:
+    """A record field's default, and whether ``__init__`` takes it, ``repr``
+    shows it and ``==`` compares it.  A class body assigns one where
+    ``dataclasses.field`` would be called."""
+
+    __slots__ = ("name", "type", "default", "init", "repr", "compare")
+
+    def __init__(self, default=_MISSING, *, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+def _repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._record_fields if f.repr)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _getstate(self):
+    return [getattr(self, f.name) for f in self._record_fields]
+
+
+def _setstate(self, state):
+    for f, value in zip(self._record_fields, state):
+        object.__setattr__(self, f.name, value)
+
+
+def _refuse(verb):
+    """A frozen record's ``__setattr__`` or ``__delattr__``."""
+
+    def refuse(self, name, *value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    return refuse
+
+
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, which ``dataclasses.fields``,
+    ``replace`` and ``is_dataclass`` read.  The first read imports
+    ``dataclasses``, has it build the fields of a throwaway class declared
+    like the record, and keeps them on the record class."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        ns = {"__module__": cls.__module__, "__qualname__": cls.__qualname__}
+        ns["__annotations__"] = {f.name: f.type for f in cls._record_fields}
+        for f in cls._record_fields:
+            default = dataclasses.MISSING if f.default is _MISSING else f.default
+            ns[f.name] = dataclasses.field(default=default, init=f.init, repr=f.repr, compare=f.compare)
+        spec = dataclasses.dataclass(init=False, repr=False, eq=False)(type(cls.__name__, (), ns))
+        cls.__dataclass_fields__ = spec.__dataclass_fields__
+        return spec.__dataclass_fields__
+
+
+_SHARED = {"__dataclass_fields__": _DataclassFields(), "__getstate__": _getstate, "__setstate__": _setstate}
+_FROZEN = {"__setattr__": _refuse("assign to"), "__delattr__": _refuse("delete")}
+
+
+def _record(cls=None, /, *, frozen=True):
+    """The record class that the class body ``cls`` declares, as
+    ``dataclass(slots=True, frozen=frozen)`` would make it, but built once.
+    Its fields are those of a record base, then each annotated name of the
+    body, whose assigned value is its default or its ``_Field``.
+
+    ``__init__``, ``__eq__`` and a frozen record's ``__hash__`` are
+    straight-line code from one ``exec``.  ``__init__`` writes each slot
+    through its member descriptor, one call per field, and ends with
+    ``__post_init__`` where the class has one.  ``__eq__`` compares the tuples
+    of compared fields, and ``__hash__`` is ``hash`` of that tuple, which a
+    node with a ``_hash`` slot (a ``_Term``) computes once and keeps: terms
+    share subterms, so a subterm hashed once stays hashed in every term that
+    contains it.  ``__repr__`` (unless the body has one), pickling and the
+    frozen ``__setattr__`` and ``__delattr__`` are shared functions."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    ns = dict(cls.__dict__)
+    del ns["__dict__"], ns["__weakref__"]
+    fields = list(getattr(cls, "_record_fields", ()))
+    annotations = ns.get("__annotations__", {})
+    for name, annotation in annotations.items():
+        f = ns.pop(name, _MISSING)
+        f = f if isinstance(f, _Field) else _Field(f)
+        f.name, f.type = name, annotation
+        fields.append(f)
+    ns |= _SHARED | (_FROZEN if frozen else {"__hash__": None}) | {
+        "__slots__": tuple(annotations),
+        "__qualname__": cls.__qualname__,
+        "__match_args__": tuple(f.name for f in fields if f.init),
+        "__repr__": ns.get("__repr__", _repr),
+        "_record_fields": tuple(fields),
+    }
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+
+    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fields}
+    env |= {f"_default_{f.name}": f.default for f in fields if f.default is not _MISSING}
+    params = [f.name + f"=_default_{f.name}" * (f.default is not _MISSING) for f in fields if f.init]
+    init = [
+        f" _set_{f.name}(self, {f.name if f.init else '_default_' + f.name})"
+        for f in fields
+        if f.init or f.default is not _MISSING
+    ]
+    if hasattr(cls, "__post_init__"):
+        init.append(" self.__post_init__()")
+    key = "(" + "".join(f"{{0}}.{f.name}, " for f in fields if f.compare) + ")"
+    hashed = f"hash({key.format('self')})"
+    code = [
+        f"def __init__({', '.join(['self', *params])}):",
+        *(init or [" pass"]),
+        "def __eq__(self, other):",
+        " if other.__class__ is self.__class__:",
+        f"  return {key.format('self')} == {key.format('other')}",
+        " return NotImplemented",
+    ]
+    if frozen and "_set__hash" in env:
+        code += ["def __hash__(self):", " h = self._hash", " if h is None:"]
+        code += [f"  h = {hashed}", "  _set__hash(self, h)", " return h"]
+    elif frozen:
+        code += ["def __hash__(self):", f" return {hashed}"]
+    exec("\n".join(code), env)
+    for name in ("__init__", "__eq__", "__hash__"):
+        if name in env:
+            env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, env[name])
+    return cls
+
 
 # --------------------------------------------------------------------------- names
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Bound:
     """de Bruijn index pointing at an enclosing binder (0 = innermost)."""
 
@@ -59,7 +192,7 @@ class Bound:
         return f"Bound({self.index})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Nabla:
     """Scoped fresh constant; levels start at 1 and grow inward."""
 
@@ -69,7 +202,7 @@ class Nabla:
         return f"Nabla({self.level})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Eigen:
     """Instantiable name variable; may only equal nabla levels <= ceiling."""
 
@@ -80,7 +213,7 @@ class Eigen:
         return f"Eigen({self.id},c{self.ceiling})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Free:
     """Named placeholder produced by the parser; resolved by encode()."""
 
@@ -95,28 +228,28 @@ Name = Bound | Nabla | Eigen | Free
 # ----------------------------------------------------------------------- processes
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class _Term:
     """Base of the compound process constructors and of the formula
     connectives and modalities: a slot for the node's hash, filled on its
-    first use (see ``_hash_once``)."""
+    first use (see ``_record``)."""
 
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = _Field(None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Nil:
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class TauPref(_Term):
     """``tau.P``."""
 
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Out(_Term):
     """``x!y.P``: ``obj`` sent on ``ch``."""
 
@@ -125,7 +258,7 @@ class Out(_Term):
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class In(_Term):
     """``x?(y).P``: a name received on ``ch``, bound in ``body``."""
 
@@ -133,7 +266,7 @@ class In(_Term):
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Match(_Term):
     """``[x=y]P``."""
 
@@ -142,7 +275,7 @@ class Match(_Term):
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Sum(_Term):
     """``P + Q``."""
 
@@ -150,7 +283,7 @@ class Sum(_Term):
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Par(_Term):
     """``P | Q``."""
 
@@ -158,14 +291,14 @@ class Par(_Term):
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Nu(_Term):
     """``(nu x)P``: a name restricted in ``body``."""
 
     body: "Process"  # one binder deep
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Bang(_Term):
     """``!P``."""
 
@@ -175,58 +308,17 @@ class Bang(_Term):
 Process = Nil | TauPref | Out | In | Match | Sum | Par | Nu | Bang
 
 
-def _hash_once(*names: str):
-    """A ``__hash__`` that computes ``hash`` of the tuple of the node's
-    fields, which is the dataclass-generated hash, once per node and keeps it
-    in the node's slot.  Terms share unchanged subterms, so a subterm hashed
-    once stays hashed in every term that contains it, and set and dict orders
-    are those of the generated hash.  The tuple is built by ``attrgetter``,
-    so hashing a deep term takes one Python frame per level."""
-    get = attrgetter(*names)
-    key = get if len(names) > 1 else lambda node: (get(node),)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    return __hash__
-
-
-def _slot_init(cls):
-    """An ``__init__`` for the frozen slots dataclass ``cls``, declared with
-    ``init=False``, that takes the parameters a generated one would and
-    writes each slot through its member descriptor: one call per field, where
-    a generated one goes through ``object.__setattr__`` and its attribute
-    lookup.  A field left out of ``__init__`` (the ``_hash`` slot) is reset
-    to its default.  Frozen assignment still raises, since ``__setattr__`` is
-    untouched."""
-    fs = fields(cls)
-    params = ", ".join(["self", *(f.name for f in fs if f.init)])
-    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
-    env |= {f"_default_{f.name}": f.default for f in fs if not f.init}
-    body = "".join(
-        f"    _set_{f.name}(self, {f.name if f.init else '_default_' + f.name})\n" for f in fs
-    )
-    exec(f"def __init__({params}):\n{body}", env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
 NIL = Nil()
 
 # -------------------------------------------------------------------------- actions
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Tau:
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class FreeOut:
     """The free output action ``x!y``."""
 
@@ -234,14 +326,14 @@ class FreeOut:
     obj: Name
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class BoundOut:
     """The bound output action ``x!(y)``: a restricted name sent on ``ch``."""
 
     ch: Name
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class BoundIn:
     """The input action ``x?(y)``."""
 
@@ -255,17 +347,17 @@ TAU = Tau()
 # ------------------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TrueF:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FalseF:
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class And(_Term):
     """``A & B``."""
 
@@ -273,7 +365,7 @@ class And(_Term):
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Or(_Term):
     """``A v B``."""
 
@@ -281,7 +373,7 @@ class Or(_Term):
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Eq:
     """The match label ``x=y``."""
 
@@ -289,7 +381,7 @@ class Eq:
     right: Name
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class LateIn:
     """The input label of ``<x?(y)>L``: the received name is chosen after
     the transition."""
@@ -297,7 +389,7 @@ class LateIn:
     ch: Name
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class EarlyIn:
     """The input label of ``<x?(y)>E``: the received name is chosen before
     the transition."""
@@ -309,7 +401,7 @@ Label = Action | Eq | LateIn | EarlyIn
 _BINDING_LABELS = (BoundOut, BoundIn, LateIn, EarlyIn)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Dia(_Term):
     """``<label>A``."""
 
@@ -317,7 +409,7 @@ class Dia(_Term):
     body: "Formula"  # one binder deep when the label binds a name
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Box(_Term):
     """``[label]A``."""
 
@@ -329,12 +421,6 @@ Formula = TrueF | FalseF | And | Or | Dia | Box
 
 TRUE = TrueF()
 FALSE = FalseF()
-
-for _cls in (TauPref, Out, In, Match, Sum, Par, Nu, Bang, And, Or, Dia, Box):
-    _cls.__hash__ = _hash_once(*_cls.__match_args__)
-    _cls.__init__ = _slot_init(_cls)
-for _cls in (Bound, Nabla, Eigen, Free, FreeOut, BoundOut, BoundIn, Eq, LateIn, EarlyIn):
-    _cls.__init__ = _slot_init(_cls)
 
 # ------------------------------------------------------------------- name traversal
 
@@ -579,12 +665,12 @@ def _nf_operator(p: Sum | Par, memo: dict) -> tuple[Process, tuple]:
     tag = _SUM_TAG if cls is Sum else _PAR_TAG
     terms: list[Process] = []
     keys: list[tuple] = []
-
-    def gather(q: Process) -> None:
+    todo = [p]  # operands still to visit, the leftmost last
+    while todo:
+        q = todo.pop()
         if type(q) is cls:
-            gather(q.left)
-            gather(q.right)
-            return
+            todo += (q.right, q.left)
+            continue
         t, k = _nf(q, memo)
         if k[0] == tag:  # normalising exposed the same operator: splice it in
             keys.extend(k[1:])
@@ -595,8 +681,6 @@ def _nf_operator(p: Sum | Par, memo: dict) -> tuple[Process, tuple]:
         elif t is not NIL:
             terms.append(t)
             keys.append(k)
-
-    gather(p)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     if cls is Sum:  # P + P ~ P: keep one of each run of equal summands
         order = [i for j, i in enumerate(order) if j == 0 or keys[order[j - 1]] != keys[i]]
@@ -680,7 +764,7 @@ KEYWORDS = {"tau", "nu"}
 IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Prefix:
     """Ordered quantifier prefix over the free names, leftmost outermost.
 
@@ -691,9 +775,9 @@ class Prefix:
     """
 
     entries: tuple[tuple[str, str], ...] = ()
-    _name_map: dict[str, Name] = field(init=False, repr=False, compare=False)
-    nabla_count: int = field(init=False, repr=False, compare=False)
-    eigen_count: int = field(init=False, repr=False, compare=False)
+    _name_map: dict[str, Name] = _Field(init=False, repr=False, compare=False)
+    nabla_count: int = _Field(init=False, repr=False, compare=False)
+    eigen_count: int = _Field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names: dict[str, Name] = {}

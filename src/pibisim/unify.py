@@ -10,9 +10,7 @@ smaller so level-soundness is preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, map_names, pretty_name
+from .syntax import Bound, Eigen, Free, Nabla, Name, Prefix, _name_key, _record, map_names, pretty_name
 
 
 class InternalError(Exception):
@@ -20,7 +18,7 @@ class InternalError(Exception):
     problem outside the singleton-solution fragment)."""
 
 
-@dataclass(frozen=True)
+@_record
 class Subst:
     """Idempotent eigenvariable substitution: Eigen id -> Nabla | Eigen.
 
@@ -123,7 +121,7 @@ def _canon_pair(a: Name, b: Name) -> tuple[Name, Name]:
     return (a, b) if _name_key(a) <= _name_key(b) else (b, a)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Distinction:
     """Finite symmetric irreflexive set of name pairs that substitutions must
     keep apart; stored with a canonical order inside each pair."""

@@ -791,6 +791,22 @@ def test_normal_form_keeps_summands_apart_by_their_bound_names():
     assert normal_form(p) == enc("x?(u).x?(v).(v!a.0 + u!a.0)", prefix)
 
 
+def test_normal_form_leaves_no_cyclic_garbage():
+    """Normalising nested ``|`` and ``+`` frees what it builds by reference
+    counting, so with the collector off nothing is left for it to find."""
+    terms = list(congruence_terms(16, 40))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for p in terms:
+            normal_form(p)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_terms_are_bisimilar_to_their_normal_form(monkeypatch):
     """Decided by the game on raw terms, with the normal form switched off."""
     prefix = pb.parse_prefix(CONGRUENCE_PREFIX)

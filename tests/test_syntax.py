@@ -479,8 +479,10 @@ class TestSubstCapture:
         assert theta(p) == Nu(Match(Nabla(2), Bound(0), NIL))
 
 
-# Every class whose __init__ writes its slots through their member
-# descriptors (syntax._slot_init), with sample arguments and the repr they give.
+# The name, process, action, label and formula classes that take fields, and
+# Transition and Goal, with sample arguments and the repr they give.  Every
+# record's __init__ writes its slots through their member descriptors
+# (syntax._record); tests/test_records.py checks the other records.
 SLOT_INIT_NODES = [
     (Bound, (0,), "Bound(0)"),
     (Nabla, (1,), "Nabla(1)"),
