@@ -82,8 +82,6 @@ is checked once per term.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from . import modal as M
 from .lts import Transition, tabled_successors
 from .syntax import (
@@ -116,6 +114,10 @@ from .unify import (
     Subst,
     respects,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 class ReplicationUnsupported(Exception):

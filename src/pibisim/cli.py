@@ -366,6 +366,4 @@ def _cmd_check(args) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

@@ -39,8 +39,6 @@ checks the game over these lists, not the lists themselves.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .syntax import (
     Action,
     Bang,
@@ -295,9 +293,8 @@ def lts_graph(p: Process, max_states: int, depth: int | None = None) -> Graph:
     states: dict[Process, int] = {p: 0}
     depths: list[int] = [depth]
     edges: list[Edge] = []
-    queue = deque([p])
-    while queue:
-        src = queue.popleft()
+    queue = [p]  # every state found, each expanded once in order
+    for src in queue:
         si = states[src]
         d = depths[si]
 

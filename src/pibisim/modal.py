@@ -31,9 +31,6 @@ The formula constructors, their name walk and binder operations are
 
 from __future__ import annotations
 
-import re
-from collections.abc import Callable
-
 from .syntax import (
     Action,
     And,
@@ -66,7 +63,6 @@ from .syntax import (
     map_names,
     open_abs,
     right_nest,
-    IDENT_RE,
     KEYWORDS,
     _BINDING_LABELS,
     _Namer,
@@ -76,6 +72,10 @@ from .syntax import (
 )
 from .lts import Transition, tabled_successors
 from .unify import IDENTITY, Subst, compose, unify_names
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 class FormulaOutsideLM(Exception):
@@ -408,7 +408,7 @@ _FLAVOUR_TEXT = {label: f"{text} " for text, label in _FLAVOURS.items()}
 
 
 class _FormulaParser(_TokenParser):
-    token_re = re.compile(rf"({IDENT_RE.pattern}|[LE]|[<>\[\]=!?()&.])")
+    chars = "LE<>[]=!?()&."
     token_what = "a formula token"
     reserved = _RESERVED_FORMULA
 

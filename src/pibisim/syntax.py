@@ -13,7 +13,8 @@ level ceiling (``Eigen``).  The parser leaves free names as ``Free``
 placeholders which ``encode`` resolves against a quantifier prefix.
 
 The process parser here and the formula parser in ``modal`` are cursors over
-the token strings of the whole text, which one regex ``split`` cuts out.
+the tokens of the whole text, which ``translate`` and ``split`` cut out; a
+text that fails, or is not ASCII, is scanned for positions (``_TokenParser``).
 A ``Prefix`` builds its name map and counts once, and ``parse_prefix`` is
 memoised by text, so a query's prefix is parsed and mapped once.
 
@@ -22,8 +23,9 @@ record class of the package (the name, process, action, label and formula
 classes here, and those of ``unify``, ``lts``, ``modal`` and ``bisim``) is
 built once, by ``_record``, as a slotted class whose ``__init__`` writes each
 slot through its member descriptor, where a dataclass-generated one calls
-``object.__setattr__`` per field.  ``import pibisim`` imports no
-``dataclasses``; ``dataclasses.fields`` and ``replace`` still read records.
+``object.__setattr__`` per field, from templates compiled with this module.
+``import pibisim`` compiles nothing and imports only ``itertools`` and
+``operator``; ``dataclasses.fields`` and ``replace`` still read records.
 A parse builds one ``Free`` per identifier, shared by every free occurrence
 of that name, and a ``+``, ``|``, ``v`` or ``&`` level with one operand
 returns it without building a list.
@@ -42,9 +44,7 @@ itself, with nothing built.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import is_
 
 # ------------------------------------------------------------------------- records
@@ -69,7 +69,8 @@ def _repr(self):
 
 
 def _getstate(self):
-    return [getattr(self, f.name) for f in self._record_fields]
+    """The field values, less a cached hash, which varies with the string hash seed."""
+    return [None if f.name == "_hash" else getattr(self, f.name) for f in self._record_fields]
 
 
 def _setstate(self, state):
@@ -110,6 +111,56 @@ class _DataclassFields:
 _SHARED = {"__dataclass_fields__": _DataclassFields(), "__getstate__": _getstate, "__setstate__": _setstate}
 _FROZEN = {"__setattr__": _refuse("assign to"), "__delattr__": _refuse("delete")}
 
+# The methods ``_record`` copies, per field count: ``_0``, ``_1``, ... become field
+# names, ``_s0``, ``_s1``, ... are the init fields' slot setters, ``_sh`` the ``_hash`` slot's.
+def _init0(self): pass
+def _init1(self, _0): _s0(self, _0)
+def _init2(self, _0, _1): _s0(self, _0); _s1(self, _1)
+def _init3(self, _0, _1, _2): _s0(self, _0); _s1(self, _1); _s2(self, _2)
+def _init5(self, _0, _1, _2, _3, _4): _s0(self, _0); _s1(self, _1); _s2(self, _2); _s3(self, _3); _s4(self, _4)
+def _init7(self, _0, _1, _2, _3, _4, _5, _6):
+    _s0(self, _0); _s1(self, _1); _s2(self, _2); _s3(self, _3); _s4(self, _4); _s5(self, _5); _s6(self, _6)
+def _init9(self, _0, _1, _2, _3, _4, _5, _6, _7, _8):
+    _s0(self, _0); _s1(self, _1); _s2(self, _2); _s3(self, _3); _s4(self, _4); _s5(self, _5)
+    _s6(self, _6); _s7(self, _7); _s8(self, _8)
+def _init_h0(self): _sh(self, None)
+def _init_h1(self, _0): _sh(self, None); _s0(self, _0)
+def _init_h2(self, _0, _1): _sh(self, None); _s0(self, _0); _s1(self, _1)
+def _init_h3(self, _0, _1, _2): _sh(self, None); _s0(self, _0); _s1(self, _1); _s2(self, _2)
+def _eq0(self, o): return True if o.__class__ is self.__class__ else NotImplemented
+def _eq1(self, o): return (self._0,) == (o._0,) if o.__class__ is self.__class__ else NotImplemented
+def _eq2(self, o): return (self._0, self._1) == (o._0, o._1) if o.__class__ is self.__class__ else NotImplemented
+def _eq3(self, o):
+    return (self._0, self._1, self._2) == (o._0, o._1, o._2) if o.__class__ is self.__class__ else NotImplemented
+def _eq5(self, o):
+    if o.__class__ is not self.__class__: return NotImplemented
+    return (self._0, self._1, self._2, self._3, self._4) == (o._0, o._1, o._2, o._3, o._4)
+def _eq7(self, o):
+    if o.__class__ is not self.__class__: return NotImplemented
+    return (self._0, self._1, self._2, self._3, self._4, self._5, self._6) == (o._0, o._1, o._2, o._3, o._4, o._5, o._6)
+def _eq9(self, o):
+    if o.__class__ is not self.__class__: return NotImplemented
+    return ((self._0, self._1, self._2, self._3, self._4, self._5, self._6, self._7, self._8)
+            == (o._0, o._1, o._2, o._3, o._4, o._5, o._6, o._7, o._8))
+def _hash0(self): return hash(())
+def _hash1(self): return hash((self._0,))
+def _hash2(self): return hash((self._0, self._1))
+def _hash3(self): return hash((self._0, self._1, self._2))
+def _hash5(self): return hash((self._0, self._1, self._2, self._3, self._4))
+def _hash7(self): return hash((self._0, self._1, self._2, self._3, self._4, self._5, self._6))
+def _hash_c0(self):
+    if (h := self._hash) is None: _sh(self, h := hash(()))
+    return h
+def _hash_c1(self):
+    if (h := self._hash) is None: _sh(self, h := hash((self._0,)))
+    return h
+def _hash_c2(self):
+    if (h := self._hash) is None: _sh(self, h := hash((self._0, self._1)))
+    return h
+def _hash_c3(self):
+    if (h := self._hash) is None: _sh(self, h := hash((self._0, self._1, self._2)))
+    return h
+
 
 def _record(cls=None, /, *, frozen=True):
     """The record class that the class body ``cls`` declares, as
@@ -117,15 +168,14 @@ def _record(cls=None, /, *, frozen=True):
     Its fields are those of a record base, then each annotated name of the
     body, whose assigned value is its default or its ``_Field``.
 
-    ``__init__``, ``__eq__`` and a frozen record's ``__hash__`` are
-    straight-line code from one ``exec``.  ``__init__`` writes each slot
-    through its member descriptor, one call per field, and ends with
-    ``__post_init__`` where the class has one.  ``__eq__`` compares the tuples
-    of compared fields, and ``__hash__`` is ``hash`` of that tuple, which a
-    node with a ``_hash`` slot (a ``_Term``) computes once and keeps: terms
-    share subterms, so a subterm hashed once stays hashed in every term that
-    contains it.  ``__repr__`` (unless the body has one), pickling and the
-    frozen ``__setattr__`` and ``__delattr__`` are shared functions."""
+    ``__init__`` (unless the body has one), ``__eq__`` and a frozen record's
+    ``__hash__`` are the templates above for its field count, renamed to its
+    fields, so nothing is compiled.  ``__init__`` writes each slot through
+    its member descriptor.  ``__hash__`` is ``hash`` of the compared fields'
+    tuple, which a ``_Term`` keeps in its ``_hash`` slot: a subterm hashed
+    once stays hashed in every term that shares it.  ``__repr__`` (unless
+    the body has one), pickling and the frozen ``__setattr__`` and
+    ``__delattr__`` are shared functions."""
     if cls is None:
         return lambda cls: _record(cls, frozen=frozen)
     ns = dict(cls.__dict__)
@@ -146,36 +196,26 @@ def _record(cls=None, /, *, frozen=True):
     }
     cls = type(cls)(cls.__name__, cls.__bases__, ns)
 
-    env = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fields}
-    env |= {f"_default_{f.name}": f.default for f in fields if f.default is not _MISSING}
-    params = [f.name + f"=_default_{f.name}" * (f.default is not _MISSING) for f in fields if f.init]
-    init = [
-        f" _set_{f.name}(self, {f.name if f.init else '_default_' + f.name})"
-        for f in fields
-        if f.init or f.default is not _MISSING
-    ]
-    if hasattr(cls, "__post_init__"):
-        init.append(" self.__post_init__()")
-    key = "(" + "".join(f"{{0}}.{f.name}, " for f in fields if f.compare) + ")"
-    hashed = f"hash({key.format('self')})"
-    code = [
-        f"def __init__({', '.join(['self', *params])}):",
-        *(init or [" pass"]),
-        "def __eq__(self, other):",
-        " if other.__class__ is self.__class__:",
-        f"  return {key.format('self')} == {key.format('other')}",
-        " return NotImplemented",
-    ]
-    if frozen and "_set__hash" in env:
-        code += ["def __hash__(self):", " h = self._hash", " if h is None:"]
-        code += [f"  h = {hashed}", "  _set__hash(self, h)", " return h"]
-    elif frozen:
-        code += ["def __hash__(self):", f" return {hashed}"]
-    exec("\n".join(code), env)
-    for name in ("__init__", "__eq__", "__hash__"):
-        if name in env:
-            env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, env[name])
+    init, hashed = [f for f in fields if f.init], hasattr(cls, "_hash")
+    env = {"__builtins__": __builtins__, "__name__": cls.__module__, "_sh": hashed and cls._hash.__set__}
+    env |= {f"_s{k}": getattr(cls, f.name).__set__ for k, f in enumerate(init)}
+    compared = [f.name for f in fields if f.compare]
+    methods = {"__eq__": ("_eq", compared)}
+    if "__init__" not in ns:
+        methods["__init__"] = ("_init_h" if hashed else "_init", [f.name for f in init])
+    if frozen:
+        methods["__hash__"] = ("_hash_c" if hashed else "_hash", compared)
+    for name, (kind, names) in methods.items():
+        template = globals().get(f"{kind}{len(names)}")
+        if template is None:
+            raise TypeError(f"{cls.__qualname__}: no {name} template for {len(names)} fields")
+        rename, code = {f"_{k}": field for k, field in enumerate(names)}.get, template.__code__
+        code = code.replace(co_name=name, co_varnames=tuple(map(rename, code.co_varnames, code.co_varnames)),
+                            co_names=tuple(map(rename, code.co_names, code.co_names)))
+        defaults = tuple(f.default for f in init if f.default is not _MISSING) if name == "__init__" else ()
+        method = type(template)(code, env, name, defaults or None)
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
     return cls
 
 
@@ -761,7 +801,11 @@ class DuplicatePrefixName(Exception):
 
 RESERVED_OBJ = "_a"  # object of the `x!.P` output abbreviation
 KEYWORDS = {"tau", "nu"}
-IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
+
+def is_ident(s: str) -> bool:
+    """Whether ``s`` is an identifier: ``[a-z][a-zA-Z0-9_]*``."""
+    return s.isidentifier() and s.isascii() and s[0] >= "a"
 
 
 @_record
@@ -779,11 +823,10 @@ class Prefix:
     nabla_count: int = _Field(init=False, repr=False, compare=False)
     eigen_count: int = _Field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[str, str], ...] = ()):
         names: dict[str, Name] = {}
-        level = 0
-        eigen_id = 0
-        for quant, ident in self.entries:
+        level = eigen_id = 0
+        for quant, ident in entries:
             if quant not in ("forall", "nabla"):
                 raise ValueError(f"bad quantifier {quant!r}")
             if ident in names:
@@ -794,6 +837,7 @@ class Prefix:
             else:
                 eigen_id += 1
                 names[ident] = Eigen(eigen_id, level)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_name_map", names)
         object.__setattr__(self, "nabla_count", level)
         object.__setattr__(self, "eigen_count", eigen_id)
@@ -816,69 +860,93 @@ class Prefix:
         return Prefix(self.entries + ((quant, ident),))
 
 
-@lru_cache(maxsize=1024)
+_PREFIXES: dict[str, Prefix] = {}  # parse_prefix's memo, oldest first
+
+
 def parse_prefix(text: str) -> Prefix:
     """Parse a comma list of "forall x" / "nabla x"; empty string allowed.
     An error's position is the offset of the bad entry in ``text``.
-    Memoised by text: a ``Prefix`` is immutable, and a bad text raises on
-    every call, since a call that raises is not cached."""
-    if not text.strip():
-        return Prefix(())
+    Memoised by text, for the last 1,024 texts: a ``Prefix`` is immutable,
+    and a bad text raises on every call, as no failed call is kept."""
+    if text in _PREFIXES:
+        return _PREFIXES[text]
     entries, start = [], 0  # start: the offset of the current chunk
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text.strip() else ():
         parts = chunk.split()
         at = start + len(chunk) - len(chunk.lstrip())
         if len(parts) != 2 or parts[0] not in ("forall", "nabla"):
             raise ParseError(at, ("forall IDENT", "nabla IDENT"), chunk.strip())
         quant, ident = parts
-        if not IDENT_RE.fullmatch(ident) or ident in KEYWORDS:
+        if not is_ident(ident) or ident in KEYWORDS:
             raise ParseError(at, ("identifier",), ident)
         entries.append((quant, ident))
         start += len(chunk) + 1
-    return Prefix(tuple(entries))
+    if len(_PREFIXES) >= 1024:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    _PREFIXES[text] = Prefix(tuple(entries))
+    return _PREFIXES[text]
 
 
 # --------------------------------------------------------------------------- parser
 
 
-class _TokenParser:
-    """A cursor over the token strings of one text, shared by the process and
-    formula parsers.  One ``token_re.split`` cuts the text into the tokens,
-    at odd indices, and the gaps around them; the text is well formed when
-    every gap is whitespace.  The tokens end with ``""`` for the end of
-    input, and a token is a name when it starts with a letter.  The grammar
-    reads ``self.toks[self.i]`` and moves ``i``; a token's position in the
-    text is computed only for a ``ParseError``.  A subclass sets its token
-    pattern (one capturing group around the alternatives), what a bad
-    character is reported as, and the reserved words that are not names, and
-    implements ``top``."""
+class _Retry(Exception):
+    """A parse over the fast tokens failed: parse again over the exact ones."""
 
-    token_re = re.compile(rf"({IDENT_RE.pattern}|[0.!?()\[\]=+|,])")
+
+class _TokenParser:
+    """A cursor over the tokens of one text, shared by the process and formula
+    parsers: names (``is_ident``) and the one-character tokens ``chars``,
+    then ``""`` for the end of input.  The grammar reads ``toks[i]``, moves
+    ``i`` and checks every token it takes.  An ASCII text is cut by
+    ``translate`` (spaces around each of ``chars`` that is no name character)
+    and ``split``: tokens that are exact when every word is a token, so a
+    parse over them that succeeds is exact.  Where it fails, ``error``
+    raises ``_Retry`` and the grammar runs again over ``scan``'s tokens,
+    which also give positions and bad characters; a non-ASCII text is only
+    scanned.  A subclass sets ``chars``, ``token_what`` and ``reserved``,
+    and implements ``top``."""
+
+    chars = "0.!?()[]=+|,"
     token_what = "a token"
     reserved = KEYWORDS
+    name_chars = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+
+    def __init_subclass__(cls):
+        cls.pad = str.maketrans({c: f" {c} " for c in cls.chars if c not in cls.name_chars})
 
     def __init__(self, text: str):
-        parts = self.token_re.split(text)
-        if "".join(parts[::2]).strip():
-            k = next(k for k in range(0, len(parts), 2) if parts[k].strip())
-            bad = len("".join(parts[:k])) + len(parts[k]) - len(parts[k].lstrip())
-            raise ParseError(bad, (self.token_what,), text[bad])
-        self.text = text
-        self.toks = parts[1::2]
+        self.text, self.frees, self.i = text, {}, 0
+        self.pos: list[int] | None = None  # the exact tokens' positions
+        if text.isascii():
+            self.toks = text.translate(self.pad).split() + [""]
+        else:
+            self.scan()
+
+    def scan(self) -> None:
+        """The exact tokens and positions, or the ParseError of the first bad character."""
+        text, n, j, name_chars = self.text, len(self.text), 0, self.name_chars
+        self.toks, self.pos, self.i = [], [], 0
+        for i, c in enumerate(text):
+            if i < j or c.isspace():  # inside the last token, or a gap
+                continue
+            if c not in self.chars and not "a" <= c <= "z":
+                raise ParseError(i, (self.token_what,), c)
+            j = i + 1
+            while "a" <= c <= "z" and j < n and text[j] in name_chars:
+                j += 1
+            self.toks.append(text[i:j])
+            self.pos.append(i)
         self.toks.append("")
-        self.i = 0
-        self.frees: dict[str, Free] = {}
+        self.pos.append(n)
 
     def error(self, expected, at: int | None = None, found: str | None = None) -> ParseError:
-        """A ParseError at token ``at`` (default: the current one), which is
-        also what was found unless ``found`` is given."""
+        """A ParseError at token ``at`` (default: the current one), which is also
+        what was found unless ``found`` is given; ``_Retry`` on the fast tokens."""
+        if self.pos is None:
+            raise _Retry
         at = self.i if at is None else at
-        tok = self.toks[at]
-        if tok:
-            pos = next(islice(self.token_re.finditer(self.text), at, None)).start()
-        else:
-            pos = len(self.text)
-        return ParseError(pos, expected, tok if found is None else found)
+        return ParseError(self.pos[at], expected, self.toks[at] if found is None else found)
 
     def expect(self, value: str) -> None:
         if self.toks[self.i] != value:
@@ -887,7 +955,7 @@ class _TokenParser:
 
     def expect_ident(self, what: str = "name") -> str:
         tok = self.toks[self.i]
-        if not tok[:1].isalpha() or tok in self.reserved:
+        if not is_ident(tok) or tok in self.reserved:
             raise self.error((what,))
         self.i += 1
         return tok
@@ -902,6 +970,13 @@ class _TokenParser:
         return free
 
     def parse(self):
+        try:
+            return self.parse_tokens()
+        except _Retry:
+            self.scan()
+            return self.parse_tokens()
+
+    def parse_tokens(self):
         out = self.top([])
         if self.toks[self.i]:
             raise self.error(("end of input",))
@@ -964,12 +1039,12 @@ class _Parser(_TokenParser):
             right = self.resolve(self.expect_ident(), env)
             self.expect("]")
             return Match(left, right, self.unary(env))
-        if tok[:1].isalpha() and tok not in KEYWORDS:
+        if is_ident(tok) and tok not in KEYWORDS:
             ch = self.resolve(tok, env)
             nxt = toks[i + 1]
             if nxt == "!":
                 obj = toks[i + 2]
-                if obj[:1].isalpha() and obj not in KEYWORDS:
+                if is_ident(obj) and obj not in KEYWORDS:
                     self.i = i + 3
                 else:
                     self.i = i + 2
@@ -1026,20 +1101,19 @@ def parse_process(text: str, defs: dict | None = None) -> Process:
     return _Parser(text, defs).parse()
 
 
-_DECL_RE = re.compile(r"\s*([a-z][a-zA-Z0-9_]*)\s*\(([^)]*)\)\s*:=\s*(.*?)\s*")
-
-
 def parse_decls(text: str) -> dict[str, tuple[list[str], Process]]:
     """Parse a declaration file: lines of ``ident(params) := proc`` with ``#``
     comments.  Declarations may call earlier ones; recursion is rejected.  An
     error's position is its offset in the whole text."""
+    import re  # only declaration files need it
+    decl = re.compile(r"\s*([a-z][a-zA-Z0-9_]*)\s*\(([^)]*)\)\s*:=\s*(.*?)\s*")
     defs: dict[str, tuple[list[str], Process]] = {}
     lines = text.splitlines(keepends=True)
     for lineno, (raw, at) in enumerate(zip(lines, accumulate(map(len, lines), initial=0)), 1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        m = _DECL_RE.fullmatch(line)
+        m = decl.fullmatch(line)
         if not m:
             at += len(line) - len(line.lstrip())
             raise ParseError(at, ("ident(params) := proc",), f"line {lineno}")
@@ -1049,7 +1123,7 @@ def parse_decls(text: str) -> dict[str, tuple[list[str], Process]]:
         params = []
         for pm in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", params_text):
             p = pm.group()
-            if not IDENT_RE.fullmatch(p) or p in KEYWORDS:
+            if not is_ident(p) or p in KEYWORDS:
                 raise ParseError(at + m.start(2) + pm.start(), ("parameter identifier",), p)
             params.append(p)
         try:

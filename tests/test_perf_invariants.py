@@ -11,6 +11,7 @@ unchanged, and a finished game is freed without the cycle collector."""
 import gc
 import hashlib
 import random
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -1021,31 +1022,29 @@ def test_unchanged_formulas_are_returned_themselves():
 # ------------------------------------------------------ parsing and encoding
 
 
-class _CountingPattern:
-    """A compiled pattern whose method calls are recorded in ``calls``."""
+def _exact_scans(monkeypatch, parse, text):
+    """How many times parsing ``text`` cut it into its exact tokens; fails if
+    the parse calls into ``re``."""
+    scans, regex_calls = [], []
+    scan = syntax_mod._TokenParser.scan
 
-    def __init__(self, pattern, calls):
-        self._pattern, self._calls = pattern, calls
+    def counted(self):
+        scans.append(len(self.text))
+        return scan(self)
 
-    def __getattr__(self, attr):
-        method = getattr(self._pattern, attr)
+    def recording(attr):
+        return lambda *args, **kwargs: regex_calls.append(attr)
 
-        def counted(*args, **kwargs):
-            self._calls.append(attr)
-            return method(*args, **kwargs)
-
-        return counted
-
-
-def _regex_calls(monkeypatch, parser_cls, parse, text):
-    calls = []
-    monkeypatch.setattr(parser_cls, "token_re", _CountingPattern(parser_cls.token_re, calls))
+    monkeypatch.setattr(syntax_mod._TokenParser, "scan", counted)
+    for attr in ("compile", "match", "fullmatch", "search", "split", "findall", "finditer", "sub"):
+        monkeypatch.setattr(re, attr, recording(attr))
     try:
         parse(text)
     except pb.ParseError:
         pass
     monkeypatch.undo()
-    return calls
+    assert regex_calls == []
+    return len(scans)
 
 
 @pytest.mark.parametrize(
@@ -1056,17 +1055,19 @@ def _regex_calls(monkeypatch, parser_cls, parse, text):
     ],
 )
 def test_parsing_makes_a_constant_number_of_regex_calls(monkeypatch, kind, unit, joiner, bad_end):
-    """A text is cut into tokens by one regex call, and a parse error's
-    position costs one more, however long the text: matching token by token
-    fails this."""
+    """A text is tokenized with no call into ``re``.  A well-formed text is
+    cut into tokens by one ``split``, with no character-by-character scan,
+    however long it is; a text with an error is scanned once to find the
+    error's position, however long it is: scanning every text, or once per
+    error check, fails this."""
     parser_cls = syntax_mod._Parser if kind == "process" else modal_mod._FormulaParser
     parse = pb.parse_process if kind == "process" else pb.parse_formula
     long_text = joiner.join([unit] * 90)
-    assert len(parser_cls.token_re.findall(long_text)) >= 500
+    assert len(long_text.translate(parser_cls.pad).split()) >= 500
     for text in (unit, long_text):
-        assert _regex_calls(monkeypatch, parser_cls, parse, text) == ["split"]
-        assert _regex_calls(monkeypatch, parser_cls, parse, text + bad_end) == ["split", "finditer"]
-        assert _regex_calls(monkeypatch, parser_cls, parse, text + " $") == ["split"]
+        assert _exact_scans(monkeypatch, parse, text) == 0
+        assert _exact_scans(monkeypatch, parse, text + bad_end) == 1
+        assert _exact_scans(monkeypatch, parse, text + " $") == 1
 
 
 def test_encode_reads_the_prefix_map_built_once(monkeypatch):

@@ -7,6 +7,7 @@ in ``test_syntax.py``; these are the other records."""
 
 import copy
 import json
+import os
 import pathlib
 import pickle
 import subprocess
@@ -191,31 +192,57 @@ def test_a_result_compares_its_game_without_showing_it():
 
 
 def test_import_is_lean():
-    """``import pibisim`` loads neither ``dataclasses`` nor ``inspect``, and
-    leaves no second copy of any class alive; ``dataclasses`` still reads
-    the records once something imports it."""
+    """``import pibisim`` loads none of ``dataclasses``, ``inspect``, ``re``,
+    ``functools`` and ``collections``, compiles no source but its own
+    modules', and leaves no second copy of any class alive; ``dataclasses``
+    still reads the records once something imports it."""
+    heavy = ["collections", "dataclasses", "functools", "inspect", "re"]
     code = "\n".join([
-        "import collections, gc, json, sys",
+        "import gc, sys",
+        "compiled = []",
+        "sys.addaudithook(lambda event, args: compiled.append(str(args[1])) if event == 'compile' else None)",
         f"sys.path.insert(0, {str(SRC)!r})",
         "import pibisim",
-        "loaded = sorted({'dataclasses', 'inspect'} & sys.modules.keys())",
+        "done = len(compiled)",
+        f"loaded = sorted(set({heavy!r}) & sys.modules.keys())",
         "gc.collect()",
         "classes = [c for c in gc.get_objects() if isinstance(c, type)]",
-        "ours = collections.Counter(",
-        "    c.__qualname__ for c in classes if str(c.__module__).startswith('pibisim'))",
-        "import dataclasses",
+        "names = [c.__qualname__ for c in classes if str(c.__module__).startswith('pibisim')]",
+        "import dataclasses, json",
         "print(json.dumps({",
         "    'loaded': loaded,",
-        "    'twice': sorted(name for name, count in ours.items() if count > 1),",
+        "    'compiled': compiled[:done],",
+        "    'twice': sorted({name for name in names if names.count(name) > 1}),",
         "    'par': dataclasses.is_dataclass(pibisim.Par),",
         "    'goal': [f.name for f in dataclasses.fields(pibisim.Goal)],",
         "}))",
     ])
     cmd = [sys.executable, "-I", "-S", "-c", code]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {
+    out = json.loads(proc.stdout)
+    own = SRC / "pibisim"
+    assert [path for path in out.pop("compiled") if pathlib.Path(path).parent != own] == []
+    assert out == {
         "loaded": [],
         "twice": [],
         "par": True,
         "goal": ["depth", "next_eigen", "distinct", "left", "right"],
     }
+
+
+def test_a_term_unpickled_under_another_hash_seed_hashes_as_built_there(tmp_path):
+    """A term's cached hash depends on the string hash seed through its
+    names, so a pickle leaves it out: a term hashed and pickled under one
+    seed, loaded under another, is found in a set by a term built there."""
+    path = tmp_path / "term.pickle"
+    build = (
+        f"import json, pickle, sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from pibisim.syntax import NIL, Free, Out; p = Out(Free('x'), Free('y'), NIL); "
+    )
+    dump = build + f"hash(p); pickle.dump(p, open({str(path)!r}, 'wb'))"
+    load = build + f"q = pickle.load(open({str(path)!r}, 'rb')); print(json.dumps([p in {{q}}, len({{p, q}})]))"
+    outs = []
+    for seed, code in (("1", dump), ("2", load)):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True))
+    assert json.loads(outs[1].stdout) == [True, 1]
