@@ -24,42 +24,43 @@ folding its formula all read the clause: its defenders, its names with the
 depth and next eigenvariable each opens at, its shape, its modalities, and
 its child goals, built on demand.
 
-The game is played up to structural congruence.  The root is the user's
-goal as given, but every child goal's two sides are their normal forms
-(``syntax.normal_form``, cached per game, where a normal form is its own
-entry), so moves, witnesses and formulas below the root are computed on one
-representative per congruence class.  Each goal is memoised under the normal
-forms of its two sides, and a goal whose two normal forms are equal holds at
-once: congruent processes are bisimilar in every mode and under every
-substitution.  So goals that differ only in the order of parallel components,
-``0`` operands, repeated summands or unused restrictions share one memo entry
-and one witness node, and the certificate of a positive verdict is a
-bisimulation up to congruence, which ``verify_certificate`` checks in a fresh
-game.  Memo keys rename eigenvariables only when they are not already
-numbered by first occurrence, and a goal whose next eigenvariable id is 1,
-as every late and early goal's is, has no eigenvariable and is its own key
-without a walk.  The memo also holds each goal as asked, so a goal asked
-again is answered before its sides are normalised or its key is computed.
+The game is played up to structural congruence.  The root is the user's goal
+as given, but every child goal's two sides are their normal forms
+(``syntax.normal_form``), so moves, witnesses and formulas below the root are
+computed on one representative per congruence class.  Each goal is memoised
+under the normal forms of its two sides, and a goal whose two normal forms are
+equal holds at once: congruent processes are bisimilar in every mode and under
+every substitution.  So goals that differ only in the order of parallel
+components, ``0`` operands, repeated summands or unused restrictions share one
+memo entry and one witness node, and the certificate of a positive verdict is
+a bisimulation up to congruence, which ``verify_certificate`` checks in a
+fresh game.  Memo keys rename eigenvariables only when they are not already
+numbered by first occurrence, and a goal whose next eigenvariable id is 1, as
+every late and early goal's is, has no eigenvariable and is its own key
+without a walk.  The memo also holds each goal as asked, so a goal asked again
+is answered before its sides are normalised or its key is computed.
 
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends.  It also
 tables the normal form of each continuation opened at each name, so a child
 side that every defender, every name or a later replay meets again is read
-from the table, not opened and normalised again; and it keeps the normal
-form of every subterm it has normalised (``syntax.normal_form``'s memo), so
-a term that shares operands with earlier ones, as a successor ``P' | Q``
-shares ``Q``, only has its new parts normalised.  Both are sound because
-opening and normalising are functions of the term and the name alone.  The
-tables live and die with the game.
+from the table, not opened and normalised again; and it keeps one
+normal-form table, ``syntax.normal_form``'s memo, which the decider, the
+replay, the certificate check and the formula check all read, so a term that
+shares operands with earlier ones, as ``P' | Q`` shares ``Q``, only has its
+new parts normalised.  Both are sound because opening and normalising are
+functions of the term and the name alone.  The tables live and die with the
+game.
 
 On refutation the engine extracts the winning attacker strategy as a witness:
 a DAG with one node object per refuted goal, shared wherever a goal repeats.
-Each node is read from the decider's own record: when it meets an attack the
-defender cannot answer, the decider keeps the attack and its clause for the
-goal as asked, and the node and the goal's formula are built from that
-clause, with no goal decided and no clause built again.  Only a goal refuted
-under another goal's memo key has no record; its attacks are scanned once,
-in the decider's order.
+Each node is read from the decider's own record: for each refuted goal as
+asked, the attack that won, its clause and the names it wins at (one per
+defender answer when the defender answers first, else the first name no
+answer defends), so the node and the goal's formula are built with no goal
+asked again and no clause built again.  Only a goal refuted under another
+goal's memo key has no record; its attacks are scanned once, in the
+decider's order.
 ``verify_witness`` replays it structurally, move by move, in the game that
 decided it, over that game's tabled successors and normal forms; the replay
 only enumerates moves, never decides a goal, and replays each node once.
@@ -268,29 +269,24 @@ class _Clause:
 
 
 def _normalisers(
-    nf: dict[Process, Process], parts: dict, opened: dict[tuple[Process, Name], Process]
+    parts: dict, opened: dict[tuple[Process, Name], Process]
 ) -> tuple[Callable[[Process], Process], Callable[[Process, Name | None], Process]]:
-    """Normal forms modulo structural congruence, cached in ``nf``, with the
-    normal form of every subterm met kept in ``parts``; and the normal form
-    of a continuation opened at a name (unopened when the name is ``None``),
-    cached in ``opened`` by the pair.  Plain functions over the caches, not
-    methods of the game, so that a clause the game keeps does not refer back
-    to the game."""
+    """Normal forms modulo structural congruence, kept in ``parts``
+    (``syntax.normal_form``'s memo); and the normal form of a continuation
+    opened at a name (unopened for ``None``), cached in ``opened`` by the
+    pair.  Plain functions over the caches, not methods of the game, so that
+    a clause the game keeps does not refer back to the game."""
 
     def normal(p: Process) -> Process:
-        hit = nf.get(p)
-        if hit is None:
-            hit = normal_form(p, parts)
-            nf[p] = nf[hit] = hit  # a normal form is its own
-        return hit
+        return normal_form(p, parts)
 
     def opened_normal(cont: Process, w: Name | None) -> Process:
         if w is None:
-            return normal(cont)
+            return normal_form(cont, parts)
         key = (cont, w)
         hit = opened.get(key)
         if hit is None:
-            hit = opened[key] = normal(open_abs(cont, w))
+            hit = opened[key] = normal_form(open_abs(cont, w), parts)
         return hit
 
     return normal, opened_normal
@@ -310,15 +306,13 @@ class _Game:
         self.cert: list[Goal] = []
         # (term, depth) -> (free successors, bound successors), for this game only
         self.table: dict[tuple[Process, int], tuple[list[Transition], list[Transition]]] = {}
-        # term -> its normal form modulo structural congruence, for this game
-        # only; subterm -> its normal form and sort key (syntax.normal_form's
-        # memo); (continuation, name) -> the normal form of the opened term
-        self.nf: dict[Process, Process] = {}
+        # term -> its normal form and sort key (syntax.normal_form's memo), and
+        # (continuation, name) -> the opened term's normal form, for this game only
         self.nf_parts: dict = {}
         self.opened: dict[tuple[Process, Name], Process] = {}
-        self._normal_form, self._opened = _normalisers(self.nf, self.nf_parts, self.opened)
-        # refuted goal as asked -> its winning attack's index and clause
-        self.won: dict[Goal, tuple[int, _Clause]] = {}
+        self._normal_form, self._opened = _normalisers(self.nf_parts, self.opened)
+        # refuted goal as asked -> (winning attack's index, clause, names it wins at)
+        self.won: dict[Goal, tuple[int, _Clause, tuple]] = {}
 
     # ------------------------------------------------------------- the game
 
@@ -389,20 +383,32 @@ class _Game:
         return True
 
     def _wins(self, goal: Goal, side: str, idx: int, t: Transition) -> bool:
-        """Whether attack ``t``, the ``idx``-th of ``side``, wins ``goal``;
-        a winning attack is recorded, with its clause, as the goal's."""
+        """Whether attack ``t``, the ``idx``-th of ``side``, wins ``goal``; a
+        winning attack is recorded as the goal's, with its clause and names."""
         if not respects(t.theta, goal.distinct):
             return False  # the induced world collapses a distinction: discharged
         c = self._clause(goal, side, t)
-        if self._defended(c):
+        won_at = self._defended(c)
+        if won_at is None:
             return False
-        self.won[goal] = (idx, c)
+        self.won[goal] = (idx, c, won_at)
         return True
 
-    def _defended(self, c: _Clause) -> bool:
+    def _defended(self, c: _Clause) -> tuple | None:
+        """``None`` when the attack is defended, else the names it wins at:
+        for ``_LATE`` the first refuting name of each defender answer, in
+        order, and otherwise the first name that no answer defends."""
         if c.shape == _LATE:
-            return any(all(self.check(c.child(d, n)) for n in c.names) for d in c.defenders)
-        return all(any(self.check(c.child(d, n)) for d in c.defenders) for n in c.names)
+            lost = ()
+            for d in c.defenders:
+                w = next((n for n in c.names if not self.check(c.child(d, n))), None)
+                if w is None:
+                    return None  # this answer holds at every name
+                lost += (w,)
+            return lost
+        return next(
+            (n for n in c.names if not any(self.check(c.child(d, n)) for d in c.defenders)), None
+        )
 
     # ------------------------------------------------------ witness extraction
 
@@ -424,27 +430,17 @@ class _Game:
         node = self.wmemo[goal] = self._fail_node(goal, *self.won[goal])
         return node
 
-    def _fail_node(self, goal: Goal, idx: int, c: _Clause) -> FailNode:
+    def _fail_node(self, goal: Goal, idx: int, c: _Clause, won_at: tuple) -> FailNode:
         """The witness node of a winning attack: each defender answer with
-        the refuted child goal it leads to, at the first name that refutes
-        it, chosen once for all answers unless the defender answers first."""
-        name = c.names[0]
-        if c.shape == _EARLY:
-            lost = (n for n in c.names if not any(self.check(c.child(d, n)) for d in c.defenders))
-            name = next(lost, None)
-            if name is None:
-                raise InternalError("attack reported winning but every received name is answered")
-        inst = None if c.shape == _LATE else name[0]
-        replies: list[Reply] = []
-        for i, d in enumerate(c.defenders):
-            if c.shape == _LATE:
-                name = next((n for n in c.names if not self.check(c.child(d, n))), None)
-                if name is None:
-                    raise InternalError("defender reported defeated but every received name works")
-            w = name[0] if c.shape == _LATE else None
-            replies.append(Reply(i, w, self.explain(c.child(d, name))))
-        t = c.attack
-        return FailNode(goal, c.side, idx, t.theta, t.action, inst, tuple(replies))
+        the refuted child goal it leads to, at the name ``_defended`` found
+        refuting it, per answer when the defender answers first."""
+        late, t = c.shape == _LATE, c.attack
+        at = won_at if late else (won_at,) * len(c.defenders)
+        replies = tuple(
+            Reply(i, n[0] if late else None, self.explain(c.child(d, n)))
+            for i, (d, n) in enumerate(zip(c.defenders, at))
+        )
+        return FailNode(goal, c.side, idx, t.theta, t.action, None if late else won_at[0], replies)
 
     # ------------------------------------------------- strategy re-verification
 
@@ -530,16 +526,14 @@ class _Game:
     def _holds_left_only(self, goal: Goal, f: M.Formula) -> bool:
         """Machine-check that ``f`` holds on ``goal.left`` and not on
         ``goal.right``, where the game plays: each side as given at the
-        root, and every continuation below it that the game has met in its
-        normal form, so the check reads its successors from the game's
-        table.  A continuation the game never met is checked as it is: its
-        normal form would be computed only to miss the table.  Satisfaction
-        is invariant under the mode's bisimilarity, and congruent processes
-        are bisimilar, so the normal forms decide it as the raw terms would.
-        Each side's walk is memoised, so a subformula is checked once per
-        term however often the formula shares it."""
-        d, ne, nf = goal.depth, goal.next_eigen, self.nf
-        walk = dict(table=self.table, normal=lambda p: nf.get(p, p))
+        root, and every continuation below it in its normal form, so the
+        check reads normal forms and successors from the game's tables.
+        Satisfaction is invariant under the mode's bisimilarity, and
+        congruent processes are bisimilar, so the normal forms decide it as
+        the raw terms would.  Each side's walk is memoised, so a subformula
+        is checked once per term however often the formula shares it."""
+        d, ne = goal.depth, goal.next_eigen
+        walk = dict(table=self.table, normal=self._normal_form)
         if self.mode == "open":
             return M.sat_open_at(goal.left, f, d, ne, **walk) and not M.sat_open_at(
                 goal.right, f, d, ne, **walk

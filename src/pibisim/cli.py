@@ -14,7 +14,6 @@ error, including input nested too deeply to process (one line starting with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -178,6 +177,7 @@ def _payload(command: str, verdict: bool, *, witness=None, certificate=None, sta
 
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
+        import json  # only --json needs it
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in human:

@@ -294,20 +294,20 @@ def lts_graph(p: Process, max_states: int, depth: int | None = None) -> Graph:
     depths: list[int] = [depth]
     edges: list[Edge] = []
     queue = [p]  # every state found, each expanded once in order
+
+    def register(dst: Process, dst_depth: int) -> int:
+        if dst in states:
+            return states[dst]
+        if len(states) >= max_states:
+            raise StateBudgetExceeded(max_states)
+        states[dst] = len(states)
+        depths.append(dst_depth)
+        queue.append(dst)
+        return states[dst]
+
     for src in queue:
         si = states[src]
         d = depths[si]
-
-        def register(dst: Process, dst_depth: int) -> int:
-            if dst in states:
-                return states[dst]
-            if len(states) >= max_states:
-                raise StateBudgetExceeded(max_states)
-            states[dst] = len(states)
-            depths.append(dst_depth)
-            queue.append(dst)
-            return states[dst]
-
         for t in successors_free(src, d):
             di = register(t.cont, d)
             edges.append(Edge(si, di, t.action, t.theta, None))

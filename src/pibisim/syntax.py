@@ -626,12 +626,20 @@ def normal_form(p: Process, memo: dict | None = None) -> Process:
     right-nested, as the parser builds them.  Congruent processes are
     bisimilar in every mode, under every substitution.
 
-    ``memo`` keeps each subterm's normal form and sort key, so a caller that
-    passes the same dict again, as a bisimulation game does for its whole
-    life, normalises a subterm met before with one lookup: a term that shares
-    operands with earlier ones, like ``P' | Q`` after ``P | Q``, only has its
-    new parts normalised.  Without it, the memo lasts one call."""
-    return _nf(p, {} if memo is None else memo)[0]
+    ``memo`` keeps each subterm's normal form and sort key, and each normal
+    form returned as its own, so a caller that passes the same dict again, as
+    a bisimulation game does for its whole life, normalises a subterm or a
+    normal form met before with one lookup: a term that shares operands with
+    earlier ones, like ``P' | Q`` after ``P | Q``, only has its new parts
+    normalised.  Without it, the memo lasts one call."""
+    if memo is None:
+        return _nf(p, {})[0]
+    hit = memo.get(p)
+    if hit is None:
+        n, k = _nf(p, memo)
+        memo.setdefault(n, (None, k))
+        return n
+    return p if hit[0] is None else hit[0]
 
 
 def _name_key(n: Name) -> tuple:

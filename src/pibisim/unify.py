@@ -152,16 +152,13 @@ def respects(theta: Subst, d: Distinction) -> bool:
 
 
 def prefix_distinction(prefix: Prefix) -> Distinction:
-    """The distinction induced by a quantifier prefix: every pair of nabla
-    entries, plus (forall, nabla) pairs where the forall is to the left."""
+    """The distinction induced by a quantifier prefix: each entry, forall or
+    nabla, paired with every nabla entry to its right."""
     names = [(quant, name) for (quant, _), name in zip(prefix.entries, prefix.name_map().values())]
     pairs = []
-    for i, (qi, ni) in enumerate(names):
-        for j in range(i + 1, len(names)):
-            qj, nj = names[j]
-            if qi == "nabla" and qj == "nabla":
-                pairs.append((ni, nj))
-            elif qi == "forall" and qj == "nabla":
+    for i, (_, ni) in enumerate(names):
+        for qj, nj in names[i + 1 :]:
+            if qj == "nabla":
                 pairs.append((ni, nj))
     return Distinction.of(*pairs)
 

@@ -391,6 +391,13 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["{} ; tau ; 0"]
 
+    def test_import_leaves_json_unloaded(self):
+        """Only ``--json`` output needs ``json``, so importing the CLI does
+        not load it."""
+        code = "import sys, pibisim.cli; print('json' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_not_an_error(self, unbuffered):
         """A reader that stops reading early, as ``| head -1`` does, gets no

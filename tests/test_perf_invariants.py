@@ -235,7 +235,7 @@ def test_wide_replays_read_the_deciding_games_tables(workloads, lts_requests):
             continue
         refuted += 1
         game = res.game
-        tables = (game.table, game.nf, game.nf_parts, game.opened)
+        tables = (game.table, game.nf_parts, game.opened)
         sizes, asked = [len(t) for t in tables], sum(lts_requests.values())
         assert pb.verify_witness(res), q.label
         assert [len(t) for t in tables] == sizes, q.label
@@ -423,7 +423,7 @@ def test_formula_is_folded_from_the_witness(monkeypatch, mode, prefix_text, left
     def forbidden(*_args):
         raise AssertionError("formula synthesis rescanned an attack")
 
-    # _fail_node holds the ground modes' searches for a refuting name
+    # the fold reads the clauses the witness nodes were built from
     for name in ("_defended", "_fail_node"):
         monkeypatch.setattr(bisim_mod._Game, name, forbidden)
     assert pb.distinguishing_formula(res) == expected
@@ -461,15 +461,17 @@ def test_one_pass_evidence_is_pinned(case, expected):
 @pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
 def test_explain_reads_the_deciders_record(monkeypatch, mode, prefix_text, left, right):
     """``explain`` builds the node of a goal that the decider played and
-    refuted from the winning attack the decider recorded: no defence of
-    that goal is tried again.  Only a goal refuted under another goal's memo
-    key has its attacks scanned."""
+    refuted from the winning attack and the refuting names the decider
+    recorded: no defence of that goal is tried again, and no goal is asked
+    again.  Only a goal refuted under another goal's memo key has its
+    attacks scanned, and none of these witnesses has one."""
     expected = _refute(mode, prefix_text, left, right).witness
     game = bisim_mod._Game(mode)
-    played, defended, goal_of = set(), [], {}
+    played, defended, asked, goal_of = set(), [], [], {}
     real = {n: getattr(bisim_mod._Game, n) for n in ("check", "_clause", "_defended")}
 
     def check(self, goal):
+        asked.append(goal)
         before = self.stats.goals
         verdict = real["check"](self, goal)
         if not verdict and self.stats.goals > before:  # played, not a memo hit
@@ -490,8 +492,10 @@ def test_explain_reads_the_deciders_record(monkeypatch, mode, prefix_text, left,
     assert not game.check(expected.goal)
     assert expected.goal in played
     defended.clear()
+    asked.clear()
     node = game.explain(expected.goal)
     assert played.isdisjoint(defended)
+    assert asked == []
     assert repr(node) == repr(expected)
 
 
@@ -773,6 +777,23 @@ def test_normal_form_is_idempotent_and_keeps_names():
         assert normal_form(nf) == nf, pb.pretty(p)
         assert pb.free_names(nf) == pb.free_names(p)
         assert pb.infer_depth(nf) == pb.infer_depth(p)
+
+
+def test_a_returned_normal_form_is_its_own_memo_entry(monkeypatch):
+    """A normal form that ``normal_form`` returned, asked for again with the
+    same memo, is one lookup: no rule runs and no entry is added."""
+    memo = {}
+    forms = [normal_form(p, memo) for p in congruence_terms(15, 60)]
+    size = len(memo)
+
+    class Refuse:
+        def __getitem__(self, _cls):
+            raise AssertionError("a returned normal form was normalised again")
+
+    monkeypatch.setattr(syntax_mod, "_NF", Refuse())
+    for nf in forms:
+        assert normal_form(nf, memo) is nf, pb.pretty(nf)
+    assert len(memo) == size
 
 
 def test_normal_form_identifies_the_congruence_laws():
