@@ -34,23 +34,24 @@ every substitution.  So goals that differ only in the order of parallel
 components, ``0`` operands, repeated summands or unused restrictions share one
 memo entry and one witness node, and the certificate of a positive verdict is
 a bisimulation up to congruence, which ``verify_certificate`` checks in a
-fresh game.  Memo keys rename eigenvariables only when they are not already
-numbered by first occurrence, and a goal whose next eigenvariable id is 1, as
-every late and early goal's is, has no eigenvariable and is its own key
-without a walk.  The memo also holds each goal as asked, so a goal asked again
-is answered before its sides are normalised or its key is computed.
+fresh game.  A memo key renumbers eigenvariables by first occurrence in one
+walk, which builds nothing for a goal already numbered so, and a goal whose
+next eigenvariable id is 1, as every late and early goal's is, has no
+eigenvariable and is its own key without a walk.  The memo also holds each
+goal as asked, so a goal asked again is answered before its sides are
+normalised or its key is computed.
 
 Each game tables the successors of every (term, depth) it meets, so a term
 reaches ``lts`` once per game however often it attacks or defends.  It also
 tables the normal form of each continuation opened at each name, so a child
-side that every defender, every name or a later replay meets again is read
-from the table, not opened and normalised again; and it keeps one
-normal-form table, ``syntax.normal_form``'s memo, which the decider, the
-replay, the certificate check and the formula check all read, so a term that
+side that every defender, every name, a later replay or the formula check
+meets again is read from the table, not opened and normalised again; and it
+keeps one normal-form table, ``syntax.normal_form``'s memo, so a term that
 shares operands with earlier ones, as ``P' | Q`` shares ``Q``, only has its
-new parts normalised.  Both are sound because opening and normalising are
-functions of the term and the name alone.  The tables live and die with the
-game.
+new parts normalised.  The decider, the replay, the certificate check and
+the formula check all reach both tables through one opener (``_opener``).
+Both tables are sound because opening and normalising are functions of the
+term and the name alone.  The tables live and die with the game.
 
 On refutation the engine extracts the winning attacker strategy as a witness:
 a DAG with one node object per refuted goal, shared wherever a goal repeats.
@@ -73,12 +74,12 @@ satisfaction reads both connectives as plain Boolean ones, so the formula
 separates the same processes and is checked at its smaller size.  An open
 box also meets the left side's moves that answer the attack only under a
 unifier, and the clause lists these conditional answers, one ``<x=y>true``
-guard each.  The formula is machine-checked on both sides
-before it is returned, where the game plays: each process as given at the
-root, and every continuation below it in the game's normal form, so the
-check reads its successors from the game's own table.  Each side's check is
-one memoised walk (``modal._Walk``), so a subformula that the formula shares
-is checked once per term.
+guard each.  The formula is machine-checked on both sides before it is
+returned, where the game plays: each process as given at the root, and
+every continuation below it in the game's normal form, so the check reads
+each opened continuation and its successors from the game's own tables.
+Each side's check is one memoised walk (``modal._Walk``), so a subformula
+that the formula shares is checked once per term.
 """
 
 from __future__ import annotations
@@ -188,38 +189,30 @@ def _pair_key(pair):
 
 def canonical_key(goal: Goal):
     """Alpha-canonical form of a goal: eigenvariables renumbered by first
-    occurrence so memoized verdicts transfer between alpha-variants."""
+    occurrence, on the left side, then the right side, then the
+    distinction's pairs in ``_pair_key`` order, so memoized verdicts
+    transfer between alpha-variants.  One renaming walk: an eigenvariable
+    that already has its number is returned itself, so a goal numbered so
+    already is its own key and nothing is built."""
     if goal.next_eigen == 1:
         # every eigenvariable's id is below next_eigen, so there is none
         return (goal.depth, goal.left, goal.right, goal.distinct.pairs)
-    order: list[Eigen] = []
-    seen: set[int] = set()
-
-    def note(n, _d):
-        if isinstance(n, Eigen) and n.id not in seen:
-            seen.add(n.id)
-            order.append(n)
-        return n
-
-    map_names(goal.left, note)
-    map_names(goal.right, note)
-    for a, b in sorted(goal.distinct.pairs, key=_pair_key):
-        note(a, 0)
-        note(b, 0)
-    if all(e.id == i + 1 for i, e in enumerate(order)):
-        # The renaming is the identity, and Distinction already stores each
-        # pair in _pair_key order, so the renamed goal is the goal itself.
-        return (goal.depth, goal.left, goal.right, goal.distinct.pairs)
-    ren = {e.id: Eigen(i + 1, e.ceiling) for i, e in enumerate(order)}
+    ren: dict[int, Eigen | None] = {}  # id -> new name, None if it keeps its number
 
     def sub(n, _d):
-        return ren[n.id] if isinstance(n, Eigen) else n
+        if type(n) is not Eigen:
+            return n
+        if n.id not in ren:
+            i = len(ren) + 1
+            ren[n.id] = None if i == n.id else Eigen(i, n.ceiling)
+        return ren[n.id] or n
 
-    pairs = frozenset(
-        tuple(sorted((sub(a, 0), sub(b, 0)), key=_name_key))
-        for a, b in goal.distinct.pairs
-    )
-    return (goal.depth, map_names(goal.left, sub), map_names(goal.right, sub), pairs)
+    left, right = map_names(goal.left, sub), map_names(goal.right, sub)
+    pairs = [(sub(a, 0), sub(b, 0)) for a, b in sorted(goal.distinct.pairs, key=_pair_key)]
+    if not any(ren.values()):
+        # Distinction already stores each pair in _pair_key order
+        return (goal.depth, left, right, goal.distinct.pairs)
+    return (goal.depth, left, right, frozenset(tuple(sorted(p, key=_name_key)) for p in pairs))
 
 
 # Quantifier shapes of a clause over its names and the defender's answers.
@@ -268,17 +261,13 @@ class _Clause:
         return Goal(depth, next_eigen, self.distinct, a, b)
 
 
-def _normalisers(
-    parts: dict, opened: dict[tuple[Process, Name], Process]
-) -> tuple[Callable[[Process], Process], Callable[[Process, Name | None], Process]]:
-    """Normal forms modulo structural congruence, kept in ``parts``
-    (``syntax.normal_form``'s memo); and the normal form of a continuation
-    opened at a name (unopened for ``None``), cached in ``opened`` by the
-    pair.  Plain functions over the caches, not methods of the game, so that
-    a clause the game keeps does not refer back to the game."""
-
-    def normal(p: Process) -> Process:
-        return normal_form(p, parts)
+def _opener(parts: dict, opened: dict) -> Callable[[Process, Name | None], Process]:
+    """The normal form modulo structural congruence of a continuation
+    opened at a name, cached in ``opened`` by the pair, or for ``None`` of
+    the term itself; normal forms are kept in ``parts``
+    (``syntax.normal_form``'s memo).  A plain function over the caches, not
+    a method of the game, so that a clause the game keeps does not refer
+    back to the game."""
 
     def opened_normal(cont: Process, w: Name | None) -> Process:
         if w is None:
@@ -289,7 +278,7 @@ def _normalisers(
             hit = opened[key] = normal_form(open_abs(cont, w), parts)
         return hit
 
-    return normal, opened_normal
+    return opened_normal
 
 
 class _Game:
@@ -310,7 +299,7 @@ class _Game:
         # (continuation, name) -> the opened term's normal form, for this game only
         self.nf_parts: dict = {}
         self.opened: dict[tuple[Process, Name], Process] = {}
-        self._normal_form, self._opened = _normalisers(self.nf_parts, self.opened)
+        self._opened = _opener(self.nf_parts, self.opened)
         # refuted goal as asked -> (winning attack's index, clause, names it wins at)
         self.won: dict[Goal, tuple[int, _Clause, tuple]] = {}
 
@@ -345,13 +334,8 @@ class _Game:
 
     def _normalised(self, goal: Goal) -> Goal:
         """The goal with both sides in normal form modulo congruence."""
-        return Goal(
-            goal.depth,
-            goal.next_eigen,
-            goal.distinct,
-            self._normal_form(goal.left),
-            self._normal_form(goal.right),
-        )
+        left, right = self._opened(goal.left, None), self._opened(goal.right, None)
+        return Goal(goal.depth, goal.next_eigen, goal.distinct, left, right)
 
     def check(self, goal: Goal) -> bool:
         if self.max_depth is not None and goal.depth > self.max_depth:
@@ -527,13 +511,14 @@ class _Game:
         """Machine-check that ``f`` holds on ``goal.left`` and not on
         ``goal.right``, where the game plays: each side as given at the
         root, and every continuation below it in its normal form, so the
-        check reads normal forms and successors from the game's tables.
+        check reads opened continuations and successors from the game's
+        tables.
         Satisfaction is invariant under the mode's bisimilarity, and
         congruent processes are bisimilar, so the normal forms decide it as
         the raw terms would.  Each side's walk is memoised, so a subformula
         is checked once per term however often the formula shares it."""
         d, ne = goal.depth, goal.next_eigen
-        walk = dict(table=self.table, normal=self._normal_form)
+        walk = dict(table=self.table, opened=self._opened)
         if self.mode == "open":
             return M.sat_open_at(goal.left, f, d, ne, **walk) and not M.sat_open_at(
                 goal.right, f, d, ne, **walk

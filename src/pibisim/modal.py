@@ -17,13 +17,16 @@ quantifiers per label, and a box reads the same label with both flipped.  The
 walk reads the formula as it is, with an environment of the names opened at
 the binders crossed so far: ``Bound(i)`` reads as ``env[i]``, so a bound
 modality opens its body by extending the environment, not by rebuilding the
-body, and a substitution maps the environment's names along with the body.  Each modality is evaluated once per (term, formula
-object, depth, budget or next eigenvariable, environment), so a subformula
-that a formula shares is checked once per term.  A caller may put every
-continuation below the root in a congruent normal form, as a bisimulation
-game does when it checks its distinguishing formula: satisfaction is
-invariant under each mode's bisimilarity, and congruent processes are
-bisimilar in every mode, so the verdict is that of the term as written.
+body, and a substitution maps the environment's names along with the body.
+Each modality is evaluated once per (term, formula object, depth, budget or
+next eigenvariable, environment), so a subformula that a formula shares is
+checked once per term.  A continuation is read through the walk's opener,
+which gives it opened at a name, ``syntax.open_abs`` by default.  A caller
+may pass one that returns a congruent normal form instead, as a bisimulation
+game passes its table of opened normal forms when it checks its
+distinguishing formula: satisfaction is invariant under each mode's
+bisimilarity, and congruent processes are bisimilar in every mode, so the
+verdict is that of the term as written.
 
 The formula constructors, their name walk and binder operations are
 ``syntax``'s; the constructors are re-exported here.
@@ -268,22 +271,23 @@ _QUANTIFIERS = {BoundIn: (True, True, False), EarlyIn: (False, True, True)}
 _SOME_ALL = (True, False, False)
 
 
-def _as_is(p: Process) -> Process:
-    return p
+def _as_is(cont: Process, w: Name | None) -> Process:
+    return cont if w is None else open_abs(cont, w)
 
 
 class _Walk:
-    """One satisfaction check: its mode, its successor table, the normal
-    form its continuations are put in, and its memo, which maps (term,
-    id(formula), depth, budget or next eigenvariable, environment) to the
-    verdict and the formula, kept so that its id is not reused."""
+    """One satisfaction check: its mode, its successor table, its opener,
+    which gives the term a continuation reads as once opened at a name (or
+    as it is, for ``None``), and its memo, which maps (term, id(formula),
+    depth, budget or next eigenvariable, environment) to the verdict and the
+    formula, kept so that its id is not reused."""
 
-    __slots__ = ("mode", "table", "normal", "memo")
+    __slots__ = ("mode", "table", "opened", "memo")
 
-    def __init__(self, mode: _Mode, table: dict | None, normal: Callable | None):
+    def __init__(self, mode: _Mode, table: dict | None, opened: Callable | None):
         self.mode = mode
         self.table = {} if table is None else table
-        self.normal = _as_is if normal is None else normal
+        self.opened = _as_is if opened is None else opened
         self.memo = {}
 
     def sat(self, p: Process, a: Formula, depth: int, k: int, env: tuple) -> bool:
@@ -307,7 +311,7 @@ class _Walk:
                     return True  # the hypothesis x=y can never hold
                 if rho.is_identity():
                     return self.sat(p, body, depth, k, env)
-                return self.sat(self.normal(rho(p)), rho(body), depth, k, _subst_env(rho, env))
+                return self.sat(self.opened(rho(p), None), rho(body), depth, k, _subst_env(rho, env))
         key = (p, id(a), depth, k, env)
         hit = self.memo.get(key)
         if hit is None:
@@ -345,8 +349,8 @@ class _Walk:
             for y in met if names_first else opens or mode.received(box, p, x, depth, k):
                 (cont, b, e, _sigma), (w, d, k2) = (y, x) if names_first else (x, y)
                 if w is not None:
-                    cont, e = open_abs(cont, w), (w,) + e
-                if self.sat(self.normal(cont), b, d, k2, e) == inner_some:
+                    e = (w,) + e
+                if self.sat(self.opened(cont, w), b, d, k2, e) == inner_some:
                     verdict = inner_some
                     break
             if verdict == outer_some:
@@ -360,20 +364,22 @@ def sat_ground(
     extra_names: int | None = None,
     depth: int | None = None,
     table: dict | None = None,
-    normal: Callable[[Process], Process] | None = None,
+    opened: Callable[[Process, Name | None], Process] | None = None,
 ) -> bool:
     """Classical satisfaction under an all-nabla prefix.  ``extra_names``
     bounds how many fresh constants the name quantifiers may consume; it
     defaults to the formula's fresh budget.  ``table`` is a successor table
     for ``lts.tabled_successors``, such as a bisimulation game's; by default
-    the check starts its own, so it asks ``lts`` once per term.  ``normal``
-    maps each continuation below ``p`` to a congruent term, by default the
-    continuation itself."""
+    the check starts its own, so it asks ``lts`` once per term.
+    ``opened(cont, w)`` gives each continuation below ``p`` opened at the
+    name ``w`` (``cont`` itself for ``None``), or a term congruent to that;
+    by default it is ``syntax.open_abs``, and a bisimulation game passes its
+    table of opened normal forms."""
     if depth is None:
         levels = [n.level for n in free_names(p) | free_names(a) if isinstance(n, Nabla)]
         depth = max(levels, default=0)
     budget = fresh_budget(a) if extra_names is None else extra_names
-    return _Walk(_GROUND, table, normal).sat(p, a, depth, budget, ())
+    return _Walk(_GROUND, table, opened).sat(p, a, depth, budget, ())
 
 
 def sat_open(p: Process, a: Formula, prefix: Prefix) -> bool:
@@ -390,12 +396,12 @@ def sat_open_at(
     depth: int,
     next_eigen: int,
     table: dict | None = None,
-    normal: Callable[[Process], Process] | None = None,
+    opened: Callable[[Process, Name | None], Process] | None = None,
 ) -> bool:
     """Open satisfaction at nabla depth ``depth`` with eigenvariables from
-    ``next_eigen`` on still unused; ``table`` and ``normal`` are as in
+    ``next_eigen`` on still unused; ``table`` and ``opened`` are as in
     ``sat_ground``."""
-    return _Walk(_OPEN, table, normal).sat(p, a, depth, next_eigen, ())
+    return _Walk(_OPEN, table, opened).sat(p, a, depth, next_eigen, ())
 
 
 # ------------------------------------------------------------------ surface syntax
@@ -496,6 +502,7 @@ _OR_LVL, _AND_LVL, _UNARY_F = 0, 1, 2
 
 def pretty_formula(f: Formula, prefix: Prefix = Prefix(())) -> str:
     namer = _Namer(prefix)
+    namer.taken |= _RESERVED_FORMULA  # a binder never reads as a keyword
 
     def go(f: Formula, need: int, binders: list) -> str:
         match f:

@@ -273,6 +273,22 @@ class TestJson:
         expected = [0, 1] if holds == "left" else [1, 0]
         assert sat_codes == expected
 
+    def test_printed_formula_with_four_binders_reads_back(self, capsys):
+        """A formula with four nested binders prints no binder named like a
+        formula keyword, so ``check`` reads the printed text back and gives
+        each process the verdict ``bisim`` reported."""
+        prefix = "forall x"
+        procs = ["x?(u).0 | x?(u).0 | x?(u).0", "x?(u).0 | x?(u).0 | x?(u).x?(v).0"]
+        code, out, _ = run(capsys, "bisim", "--prefix", prefix, *procs)
+        assert code == 1
+        fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        assert fields["formula"].count("?(") == 4
+        codes = [
+            run(capsys, "check", "--mode", "open", "--prefix", prefix, proc, fields["formula"])[0]
+            for proc in procs
+        ]
+        assert codes == ([0, 1] if fields["holds on"] == "left" else [1, 0])
+
     def test_check_json(self, capsys):
         code, out, _ = run(
             capsys, "check", "--json", "--prefix", "nabla a", "tau.0", "<tau>true"

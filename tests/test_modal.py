@@ -1,6 +1,7 @@
 """Modal satisfaction: ground (excluded middle) and open (intuitionistic)."""
 
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from pibisim.modal import (
     enumerate_lm,
     sat_open_at,
 )
-from pibisim.syntax import Bound, Nabla, Nil, normal_form
+from pibisim.syntax import Bound, Nabla, Nil, normal_form, open_abs
 
 NIL = Nil()
 
@@ -281,6 +282,20 @@ class TestFormulaSyntax:
             )
             assert back == f, text
 
+    def test_nested_binders_never_read_as_keywords(self):
+        """Binders are picked past every formula keyword (``v`` is
+        disjunction, ``L`` and ``E`` input flavours), so a formula with more
+        nested binders than the name pool holds reads back as itself."""
+        prefix = pb.parse_prefix("forall x")
+        x = prefix.name_map()["x"]
+        f = FALSE
+        for i in range(14):
+            f = (Dia if i % 2 else Box)(LateIn(x), Box(Eq(Bound(0), x), f))
+        text = pb.pretty_formula(f, prefix)
+        binders = re.findall(r"\?\((\w+)\)", text)
+        assert len(binders) == 14 and not set(binders) & {"v", "L", "E", "true", "false", "tau"}
+        assert pb.encode_formula(pb.parse_formula(text), prefix) == f
+
     def test_and_binds_tighter(self):
         prefix = pb.parse_prefix("")
         f = pb.parse_formula("true & false v true")
@@ -440,11 +455,17 @@ def criterion_09_refutations():
             yield mode, (p, q), res, pb.distinguishing_formula(res)[0]
 
 
+def normal_opened(cont, w):
+    """A continuation opened at ``w`` (as it is for ``None``), in normal form."""
+    return normal_form(cont if w is None else open_abs(cont, w))
+
+
 class TestNormalFormInvariance:
     """Satisfaction is invariant under bisimilarity and congruent processes
     are bisimilar, so a formula check may play where the game plays: on the
     term as given, on its normal form, or with every continuation below it
-    put in normal form (``normal=``) all give the independent reference's
+    put in normal form as it is opened (``opened=``, as a game passes its
+    table of opened normal forms) all give the independent reference's
     verdict on the term as given.  The reference is ``oracles.o_sat`` in
     ground mode and ``modal_reference.sat_open_at`` in open mode."""
 
@@ -455,7 +476,7 @@ class TestNormalFormInvariance:
         got = {
             pb.sat_ground(p, f, budget, depth=depth),
             pb.sat_ground(normal_form(p), f, budget, depth=depth),
-            pb.sat_ground(p, f, budget, depth=depth, normal=normal_form),
+            pb.sat_ground(p, f, budget, depth=depth, opened=normal_opened),
         }
         return expected, got, p != normal_form(p)
 
@@ -465,7 +486,7 @@ class TestNormalFormInvariance:
         got = {
             sat_open_at(p, f, depth, ne),
             sat_open_at(normal_form(p), f, depth, ne),
-            sat_open_at(p, f, depth, ne, normal=normal_form),
+            sat_open_at(p, f, depth, ne, opened=normal_opened),
         }
         return expected, got, p != normal_form(p)
 
@@ -484,7 +505,7 @@ class TestNormalFormInvariance:
         """The three readings agree on every formula, where ``check(p, f,
         **kw)`` is the mode's satisfaction check."""
         for f in formulas:
-            got = {check(p, f), check(normal_form(p), f), check(p, f, normal=normal_form)}
+            got = {check(p, f), check(normal_form(p), f), check(p, f, opened=normal_opened)}
             assert len(got) == 1, (p, f)
 
     def test_criterion_09_formulas(self):

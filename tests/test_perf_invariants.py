@@ -1,12 +1,13 @@
 """Invariants of the engine's shortcuts: reusing a parallel operand's
 successors, the per-game successor table and its use by the formula check
-and the witness replay, the per-game tables of opened continuations and of
-normalised subterms, one witness node per goal with the formula folded
-from it, witnesses read from the decider's record of each refuted goal,
-repeated goals answered before their memo key, the identity fast paths of
-``canonical_key``, playing the game up to structural congruence, and cached
-hashes over shared subterms leave steps, verdicts, evidence, keys and hashes
-unchanged, and a finished game is freed without the cycle collector."""
+and the witness replay, the per-game tables of opened continuations, which
+the formula check reads too, and of normalised subterms, one witness node
+per goal with the formula folded from it, witnesses read from the decider's
+record of each refuted goal, repeated goals answered before their memo key,
+the identity fast paths of ``canonical_key``, playing the game up to
+structural congruence, and cached hashes over shared subterms leave steps,
+verdicts, evidence, keys and hashes unchanged, and a finished game is freed
+without the cycle collector."""
 
 import gc
 import hashlib
@@ -304,10 +305,10 @@ def test_each_subterm_is_normalised_once_per_game(workloads, monkeypatch):
 # sat_open_at in open mode and by sat_ground in late and early mode.  In the
 # last two open cases the formula has a [x=y] guard: the check instantiates
 # the process by the guard's unifier, a term the game only met through an
-# attack's substitution, so the check asks lts for it, once.  The check puts
-# every continuation below the root in the game's normal form, as the game
-# does, so in the first two open cases, whose continuations are sums that
-# the normal form reorders, it reads every term from the game's table.
+# attack's substitution, so the check asks lts for it, once.  The check reads
+# every continuation below the root through the game's opener, in the game's
+# normal form, so in the first two open cases, whose continuations are sums
+# that the normal form reorders, it reads every term from the game's table.
 FORMULA_CASES = [
     ("open", "nabla x", "(nu a)x!a.(a!x.0 + tau.0)", "(nu a)x!a.(a!x.0 + tau.0 + tau.tau.0)", True),
     ("open", "forall x", "x?(u).(tau.tau.0 + tau.0)", "x?(u).tau.tau.0 + x?(u).tau.0", True),
@@ -437,9 +438,10 @@ def _digest(text):
 # formula text, and the formula's side.  The witnesses and sides are as the
 # engine gave them when explain still scanned every refuted goal's attacks
 # again; the texts are as the fold gives them since it keeps each operand of
-# a conjunction or disjunction once.
+# a conjunction or disjunction once, printed with binders that are never a
+# formula keyword (the first case's fourth binder reads ``w``, not ``v``).
 ONE_PASS_OUTPUTS = [
-    ("02b8c19b1dc6f401", "4d5a578252394290", "left"),
+    ("02b8c19b1dc6f401", "ca1ac3b71e347ccd", "left"),
     ("05c8b75416db5b17", "fc49633abc5e1925", "left"),
     ("37e6e288224aa771", "12168ce8122c5d17", "left"),
     ("db622633b0fdbae4", "31aef71882776c83", "left"),
@@ -499,6 +501,45 @@ def test_explain_reads_the_deciders_record(monkeypatch, mode, prefix_text, left,
     assert repr(node) == repr(expected)
 
 
+def _formula_opens_through_the_game(monkeypatch, res):
+    """Fold and check ``res``'s distinguishing formula with ``modal``'s own
+    ``open_abs`` refused: every continuation that the check opens is read
+    through the game's opener, ``_Game._opened``, which the calls counted
+    here pass through."""
+
+    def refuse(*_args):
+        raise AssertionError("the formula check opened a continuation itself")
+
+    through, real = Counter(), res.game._opened
+
+    def counted(cont, w):
+        through[w is None] += 1
+        return real(cont, w)
+
+    monkeypatch.setattr(modal_mod, "open_abs", refuse)
+    monkeypatch.setattr(res.game, "_opened", counted)
+    pb.distinguishing_formula(res)
+    monkeypatch.undo()
+    return through
+
+
+@pytest.mark.parametrize("mode, prefix_text, left, right", ONE_PASS_CASES)
+def test_formula_check_opens_through_the_games_table(monkeypatch, mode, prefix_text, left, right):
+    through = _formula_opens_through_the_game(monkeypatch, _refute(mode, prefix_text, left, right))
+    assert through[False] or "?" not in left + right  # a name was opened, where one is
+
+
+def test_wide_formula_checks_open_through_the_games_table(workloads, monkeypatch):
+    """As above, for every seed-1 ``wide`` refutation, in every mode."""
+    refuted, opened = Counter(), Counter()
+    for q in workloads.generate("wide", 1):
+        if q.kind == "pair" and not (res := _decide(q)).bisimilar:
+            refuted[q.mode] += 1
+            opened[q.mode] += _formula_opens_through_the_game(monkeypatch, res)[False]
+    assert sum(refuted.values()) == 136
+    assert set(refuted) == {"open", "late", "early"} and all(opened[m] for m in refuted)
+
+
 @pytest.mark.parametrize(
     "mode, prefix_text",
     [("open", FORALL3), ("open", NABLA3), ("late", NABLA3), ("early", NABLA3)],
@@ -518,16 +559,18 @@ def test_a_repeated_goal_is_answered_before_its_key(monkeypatch, mode, prefix_te
     def refuse(*_args):
         raise AssertionError("a repeated goal was normalised or keyed again")
 
-    monkeypatch.setattr(game, "_normal_form", refuse)
+    monkeypatch.setattr(game, "_opened", refuse)
     monkeypatch.setattr(bisim_mod, "canonical_key", refuse)
     assert game.check(replace(res.root)) is res.bisimilar
     assert game.stats.goals == goals
 
 
 def test_goals_without_eigenvariables_are_their_own_key(monkeypatch):
-    """``canonical_key`` does not walk a goal whose next eigenvariable id is
-    1: every goal of that kind that the game meets on seeded pairs has the
-    key the renaming would give it."""
+    """Every goal that the game meets on seeded pairs, in every mode, has
+    the key the renaming gives it.  A goal whose next eigenvariable id is
+    1, and any goal whose eigenvariables are already numbered by first
+    occurrence, is its own key: the key holds the goal's two sides
+    themselves, so the renaming walk built nothing."""
     met = []
     real = bisim_mod._Game.check
 
@@ -538,17 +581,28 @@ def test_goals_without_eigenvariables_are_their_own_key(monkeypatch):
     monkeypatch.setattr(bisim_mod._Game, "check", check)
     rng = random.Random(13)
     names = ("a", "b")
-    prefix = make_prefix(names)
+    prefix, forall = make_prefix(names), make_prefix(names, "forall")
     split = Distinction.of(tuple(prefix.name_map().values()))
     for _ in range(60):
-        p, q = (enc_tuple(t, prefix) for t in corpus.random_pair(rng, max_prefixes=3, names=names))
+        pair = corpus.random_pair(rng, max_prefixes=3, names=names)
+        p, q = (enc_tuple(t, prefix) for t in pair)
         pb.late_bisim(p, q, prefix.nabla_count)
         pb.early_bisim(p, q, prefix.nabla_count)
         pb.open_bisim(p, q, prefix, split)
+        pb.open_bisim(*(enc_tuple(t, forall) for t in pair), forall)  # eigenvariables
     unwalked = [g for g in met if g.next_eigen == 1]
     assert unwalked and any(g.distinct.pairs for g in unwalked)
-    for g in unwalked:
-        assert canonical_key(g) == renamed_key(g)
+    kinds = Counter()
+    for g in met:
+        key = canonical_key(g)
+        assert key == renamed_key(g)
+        ids = list(dict.fromkeys(n.id for n in _occurrences(g) if isinstance(n, Eigen)))
+        numbered = ids == list(range(1, len(ids) + 1))
+        if numbered:
+            assert key[1] is g.left and key[2] is g.right and key[3] is g.distinct.pairs
+        kinds[bool(ids), numbered] += 1
+    # goals with eigenvariables, both already numbered and renamed, are met
+    assert kinds[True, True] and kinds[True, False]
 
 
 @pytest.mark.parametrize(
